@@ -123,6 +123,6 @@ main(int argc, char **argv)
 
     bench::JsonObject section;
     section.field("scale", 0.25).raw("strategies", bench::jsonArray(rows));
-    bench::patchCacheSection(out_path, "hit_miss", section.str());
+    bench::patchSection(out_path, "cache", "hit_miss", section.str());
     return 0;
 }

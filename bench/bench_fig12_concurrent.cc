@@ -192,6 +192,6 @@ main(int argc, char **argv)
         .field("aggregate_speedup", aggregate_speedup)
         .field("measurements_equal", measurements_equal)
         .field("meets_3x", aggregate_speedup >= 3.0);
-    bench::patchCacheSection(out_path, "concurrent", concurrent.str());
+    bench::patchSection(out_path, "cache", "concurrent", concurrent.str());
     return 0;
 }

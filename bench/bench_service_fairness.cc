@@ -1,41 +1,23 @@
 /**
  * @file
- * Serving-layer gates: DRR fairness under a skewed tenant mix, and
- * warm-hit cache throughput sharded vs single-lock.
+ * Serving-layer gate: DRR fairness under a skewed tenant mix, recorded
+ * under "service.fairness" in BENCH_wallclock.json.
  *
- * Two experiments, both recorded under "service" in
- * BENCH_wallclock.json:
- *
- *  1. fairness — a light tenant submitting sparse launches against a
- *     heavy tenant with 8x its volume already queued in the same
- *     LaunchService. The deficit round-robin scheduler must keep the
- *     light tenant's p50 latency within 2x of its solo (uncontended)
- *     p50: an entering tenant takes the ring head, so each light
- *     launch waits only for the in-service launch (~0.5 service times
- *     expected) before running. A FIFO queue would park it behind the
- *     entire heavy backlog. One worker, and a queue deep enough that
- *     submit() never blocks, so the measurement isolates scheduling
- *     from backpressure and from host-core time sharing.
- *
- *  2. warm_throughput — aggregate warm-hit lookup throughput of the
- *     sharded template cache vs a single-lock (1-shard) build of the
- *     same cache, 8 tenant threads hammering disjoint keys. The wall
- *     numbers on this box are recorded as-is along with
- *     hardware_threads (a 1-core runner cannot exhibit lock
- *     contention); the >= 1.5x gate is evaluated on the modeled
- *     8-core throughput, derived from the measured per-lookup and
- *     lock-hold times via the serialization bound
- *     X(C) = 1 / max(t_lookup / C, t_hold / shards).
+ * A light tenant submits sparse launches against a heavy tenant with
+ * 8x its volume already queued in the same LaunchService. The deficit
+ * round-robin scheduler must keep the light tenant's p50 latency within
+ * 2x of its solo (uncontended) p50: an entering tenant takes the ring
+ * head, so each light launch waits only for the in-service launch
+ * (~0.5 service times expected) before running. A FIFO queue would
+ * park it behind the entire heavy backlog. One worker, and a queue deep
+ * enough that submit() never blocks, so the measurement isolates
+ * scheduling from backpressure and from host-core time sharing.
  */
-#include <thread>
+#include <algorithm>
 #include <vector>
 
-#include "base/parallel.h"
 #include "bench/common.h"
-#include "cache/launch_key.h"
-#include "cache/template_cache.h"
 #include "service/launch_service.h"
-#include "service/trace_replay.h"
 #include "workload/synthetic.h"
 
 using namespace sevf;
@@ -78,68 +60,6 @@ timedLaunch(service::LaunchService &svc, const std::string &tenant)
     return bench::wallClock() - t0;
 }
 
-/** 4 KiB synthetic template for the lookup micro-bench. */
-std::shared_ptr<const cache::LaunchTemplate>
-syntheticTemplate()
-{
-    auto tmpl = std::make_shared<cache::LaunchTemplate>();
-    cache::TemplateRegion region;
-    region.name = "bench";
-    region.plaintext = std::make_shared<const ByteVec>(4096, 0xA5);
-    region.page_digests.resize(1);
-    tmpl->plan.push_back(std::move(region));
-    return tmpl;
-}
-
-cache::LaunchKey
-benchKey(u64 i)
-{
-    cache::LaunchKeyBuilder builder;
-    builder.addU64("bench-service-key", i);
-    return builder.build();
-}
-
-/** Aggregate find() throughput: @p threads threads, each walking its
- *  own key stride @p reps times. Returns lookups per second. */
-double
-lookupThroughput(cache::TemplateCache &cache,
-                 const std::vector<cache::LaunchKey> &keys,
-                 unsigned threads, int reps)
-{
-    double t0 = bench::wallClock();
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-        pool.emplace_back([&, t]() {
-            for (int r = 0; r < reps; ++r) {
-                for (std::size_t k = t; k < keys.size(); k += threads) {
-                    if (cache.find(keys[k]) == nullptr) {
-                        fatal("bench key missing from cache");
-                    }
-                }
-            }
-        });
-    }
-    for (std::thread &th : pool) {
-        th.join();
-    }
-    double seconds = bench::wallClock() - t0;
-    double lookups = static_cast<double>(reps) *
-                     static_cast<double>(keys.size() / threads * threads);
-    return lookups / seconds;
-}
-
-/** Serialization-bound throughput model (see file comment). */
-double
-modeledThroughput(double t_lookup, double t_hold, unsigned cores,
-                  unsigned shards)
-{
-    double cpu_bound = t_lookup / static_cast<double>(cores);
-    double lock_bound = t_hold / static_cast<double>(shards);
-    double limiting = cpu_bound > lock_bound ? cpu_bound : lock_bound;
-    return limiting > 0 ? 1.0 / limiting : 0.0;
-}
-
 } // namespace
 
 int
@@ -149,7 +69,6 @@ main(int argc, char **argv)
         argc > 1 ? argv[1] : "BENCH_wallclock.json";
     bench::ObsSession obs_session; // SEVF_TRACE_OUT/SEVF_METRICS_OUT
 
-    // ---- 1. DRR fairness: light tenant vs an 8x heavy backlog -----------
     bench::banner("Service fairness",
                   "light-tenant p50 against an 8:1 heavy backlog (DRR)");
     constexpr int kLightSamples = 16;
@@ -246,95 +165,5 @@ main(int argc, char **argv)
         .field("light_p50_vs_solo", fairness_ratio)
         .field("meets_2x", meets_2x);
     bench::patchSection(out_path, "service", "fairness", fairness.str());
-
-    // ---- 2. Warm-hit throughput: sharded vs single-lock cache -----------
-    bench::banner("Service warm throughput",
-                  "sharded vs single-lock template cache, 8 tenants");
-    constexpr unsigned kTenants = 8;
-    constexpr std::size_t kKeys = 64;
-    constexpr int kReps = 2000;
-
-    std::vector<cache::LaunchKey> keys;
-    keys.reserve(kKeys);
-    for (std::size_t i = 0; i < kKeys; ++i) {
-        keys.push_back(benchKey(i));
-    }
-    cache::TemplateCache sharded(cache::TemplateCache::kDefaultShards);
-    cache::TemplateCache single(1);
-    for (const cache::LaunchKey &key : keys) {
-        sharded.publish(key, syntheticTemplate());
-        single.publish(key, syntheticTemplate());
-    }
-
-    unsigned hw_threads = base::hardwareThreads();
-    double wall_sharded = lookupThroughput(sharded, keys, kTenants, kReps);
-    double wall_single = lookupThroughput(single, keys, kTenants, kReps);
-    double wall_ratio =
-        wall_single > 0 ? wall_sharded / wall_single : 0.0;
-
-    // Per-lookup and lock-hold times for the 8-core model. The hold
-    // time is the lookup minus the out-of-lock prefix (key hexing +
-    // shard selection), measured separately.
-    double serial_s = bench::bestOf(3, [&]() {
-        for (const cache::LaunchKey &key : keys) {
-            if (sharded.find(key) == nullptr) {
-                fatal("bench key missing");
-            }
-        }
-    });
-    double hex_s = bench::bestOf(3, [&]() {
-        for (const cache::LaunchKey &key : keys) {
-            if (key.hex().empty()) {
-                fatal("empty key hex");
-            }
-        }
-    });
-    double t_lookup = serial_s / static_cast<double>(kKeys);
-    double t_hex = hex_s / static_cast<double>(kKeys);
-    double t_hold = t_lookup > t_hex ? t_lookup - t_hex : 0.0;
-
-    constexpr unsigned kModelCores = 8;
-    double model_single =
-        modeledThroughput(t_lookup, t_hold, kModelCores, 1);
-    double model_sharded = modeledThroughput(
-        t_lookup, t_hold, kModelCores, sharded.shardCount());
-    double model_ratio =
-        model_single > 0 ? model_sharded / model_single : 0.0;
-    bool meets_1_5x = model_ratio >= 1.5;
-
-    std::printf("  wall (this box, %u hardware threads):\n", hw_threads);
-    std::printf("    sharded:     %10.0f lookups/s\n", wall_sharded);
-    std::printf("    single-lock: %10.0f lookups/s  (sharded = %.2fx)\n",
-                wall_single, wall_ratio);
-    std::printf("  modeled %u-core (t_lookup %.0f ns, t_hold %.0f ns):\n",
-                kModelCores, t_lookup * 1e9, t_hold * 1e9);
-    std::printf("    sharded:     %10.0f lookups/s\n", model_sharded);
-    std::printf("    single-lock: %10.0f lookups/s  (sharded = %.2fx)\n",
-                model_single, model_ratio);
-    bench::note("wall numbers are honest for this runner; a 1-core box "
-                "serializes threads anyway, so the 1.5x gate runs on "
-                "the serialization-bound 8-core model");
-    if (!meets_1_5x) {
-        fatal("throughput gate failed: modeled sharded/single ",
-              model_ratio, "x (need >= 1.5x)");
-    }
-
-    bench::JsonObject throughput;
-    throughput.field("tenants", static_cast<u64>(kTenants))
-        .field("keys", static_cast<u64>(kKeys))
-        .field("shards", static_cast<u64>(sharded.shardCount()))
-        .field("hardware_threads", static_cast<u64>(hw_threads))
-        .field("wall_sharded_lookups_per_s", wall_sharded)
-        .field("wall_single_lock_lookups_per_s", wall_single)
-        .field("wall_speedup", wall_ratio)
-        .field("t_lookup_ns", t_lookup * 1e9)
-        .field("t_hold_ns", t_hold * 1e9)
-        .field("model_cores", static_cast<u64>(kModelCores))
-        .field("modeled_sharded_lookups_per_s", model_sharded)
-        .field("modeled_single_lock_lookups_per_s", model_single)
-        .field("modeled_speedup", model_ratio)
-        .field("meets_1_5x", meets_1_5x);
-    bench::patchSection(out_path, "service", "warm_throughput",
-                        throughput.str());
     return 0;
 }

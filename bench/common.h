@@ -296,14 +296,6 @@ patchSection(const std::string &path, const std::string &topkey,
                 subkey.c_str());
 }
 
-/** Back-compat shim: the two cache benches patch root["cache"]. */
-inline void
-patchCacheSection(const std::string &path, const std::string &subkey,
-                  const std::string &section_json)
-{
-    patchSection(path, "cache", subkey, section_json);
-}
-
 /**
  * Opt-in observability for any bench binary: set SEVF_TRACE_OUT and/or
  * SEVF_METRICS_OUT in the environment and the run records spans/metrics

@@ -1,8 +1,6 @@
 #include "cache/template_cache.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <utility>
 
 #include "base/logging.h"
@@ -11,34 +9,6 @@
 #include "obs/span.h"
 
 namespace sevf::cache {
-
-namespace {
-
-/** Default in-memory budget: generous enough that tests never evict
- *  unless they ask to (--cache-bytes overrides). */
-constexpr u64 kDefaultCapacityBytes = 2ull * kGiB;
-
-/** First hex-digit pair of the key, as a byte (keys are SHA-256 hex,
- *  so the prefix is uniform across shards). */
-unsigned
-keyPrefixByte(const std::string &key_hex)
-{
-    auto nibble = [](char c) -> unsigned {
-        if (c >= '0' && c <= '9') {
-            return static_cast<unsigned>(c - '0');
-        }
-        if (c >= 'a' && c <= 'f') {
-            return static_cast<unsigned>(c - 'a') + 10;
-        }
-        return 0;
-    };
-    if (key_hex.size() < 2) {
-        return 0;
-    }
-    return nibble(key_hex[0]) * 16 + nibble(key_hex[1]);
-}
-
-} // namespace
 
 u64
 LaunchTemplate::byteSize() const
@@ -57,10 +27,8 @@ LaunchTemplate::byteSize() const
     return total;
 }
 
-TemplateCache::TemplateCache(unsigned shards)
-    : shard_count_(shards == 0 ? 1 : shards),
-      capacity_bytes_(kDefaultCapacityBytes),
-      hits_metric_(obs::Registry::instance().counter(
+TemplateCache::TemplateCache()
+    : hits_metric_(obs::Registry::instance().counter(
           "sevf_cache_hits_total",
           "Launch-template cache hits (warm launches)")),
       misses_metric_(obs::Registry::instance().counter(
@@ -83,40 +51,22 @@ TemplateCache::TemplateCache(unsigned shards)
           "sevf_cache_poisoned_total",
           "Warm templates invalidated after failing to replay"))
 {
-    shards_.reserve(shard_count_);
-    for (unsigned i = 0; i < shard_count_; ++i) {
-        shards_.push_back(std::make_unique<CacheShard>());
-    }
-}
-
-TemplateCache::CacheShard &
-TemplateCache::shardFor(const std::string &key_hex)
-{
-    return *shards_[keyPrefixByte(key_hex) % shard_count_];
 }
 
 void
 TemplateCache::setCapacityBytes(u64 bytes)
 {
-    capacity_bytes_.store(bytes);
-    evictGlobalToFit();
+    Dropped dropped;
+    base::MutexLock lock(mu_);
+    capacity_bytes_ = bytes;
+    evictToFitLocked(dropped);
 }
 
 u64
 TemplateCache::capacityBytes() const
 {
-    return capacity_bytes_.load();
-}
-
-void
-TemplateCache::setShardCapacityBytes(u64 bytes)
-{
-    shard_capacity_bytes_.store(bytes);
-    for (auto &shard_ptr : shards_) {
-        CacheShard &shard = *shard_ptr;
-        base::MutexLock lock(shard.mu);
-        evictShardToFitLocked(shard);
-    }
+    base::MutexLock lock(mu_);
+    return capacity_bytes_;
 }
 
 void
@@ -174,112 +124,57 @@ TemplateCache::noteDiskOk()
 }
 
 void
-TemplateCache::touchLocked(CacheShard &shard, Entry &entry)
-    SEVF_REQUIRES(shard.mu)
+TemplateCache::touchLocked(Entry &entry) SEVF_REQUIRES(mu_)
 {
-    entry.last_use = lru_clock_.fetch_add(1) + 1;
-    shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru_it);
+    lru_.splice(lru_.begin(), lru_, entry.lru_it);
 }
 
 void
-TemplateCache::evictTailLocked(CacheShard &shard) SEVF_REQUIRES(shard.mu)
+TemplateCache::eraseLocked(EntryMap::iterator it, Dropped &dropped)
+    SEVF_REQUIRES(mu_)
 {
-    SEVF_CHECK(!shard.lru.empty());
-    auto it = shard.entries.find(shard.lru.back());
-    SEVF_CHECK(it != shard.entries.end());
-    shard.bytes -= it->second.bytes;
-    bytes_.fetch_sub(it->second.bytes);
-    shard.entries.erase(it);
-    shard.lru.pop_back();
-    shard.evictions++;
-    evictions_metric_.add();
-    bytes_metric_.set(static_cast<i64>(bytes_.load()));
+    bytes_ -= it->second.bytes;
+    lru_.erase(it->second.lru_it);
+    dropped.push_back(std::move(it->second.tmpl));
+    entries_.erase(it);
+    bytes_metric_.set(static_cast<i64>(bytes_));
 }
 
 void
-TemplateCache::evictShardToFitLocked(CacheShard &shard)
-    SEVF_REQUIRES(shard.mu)
+TemplateCache::evictToFitLocked(Dropped &dropped) SEVF_REQUIRES(mu_)
 {
-    u64 cap = shard_capacity_bytes_.load();
-    if (cap == 0) {
-        return;
-    }
-    while (shard.bytes > cap && !shard.lru.empty()) {
-        evictTailLocked(shard);
+    // May evict the entry just inserted when the budget is smaller than
+    // one template — correct (the cache simply stays empty), and the
+    // eviction tests rely on it.
+    while (bytes_ > capacity_bytes_ && !lru_.empty()) {
+        auto victim = entries_.find(lru_.back());
+        SEVF_CHECK(victim != entries_.end());
+        eraseLocked(victim, dropped);
+        evictions_++;
+        evictions_metric_.add();
     }
 }
 
 void
-TemplateCache::evictGlobalToFit()
+TemplateCache::insertLocked(const std::string &key_hex,
+                            std::shared_ptr<const LaunchTemplate> tmpl,
+                            Dropped &dropped) SEVF_REQUIRES(mu_)
 {
-    // Cross-shard LRU: compare the N shard tails (each the oldest entry
-    // of its shard) and evict the globally oldest, repeating until the
-    // budget fits. Shards are locked one at a time — never nested
-    // (lock-order.txt: exclusive CacheShard::mu CacheShard::mu) — so a
-    // concurrent touch can at worst promote a tail between the peek and
-    // the eviction, which costs one suboptimal victim, not correctness.
-    for (;;) {
-        u64 cap = capacity_bytes_.load();
-        if (bytes_.load() <= cap) {
-            return;
-        }
-        std::size_t victim_shard = shards_.size();
-        u64 victim_age = std::numeric_limits<u64>::max();
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-            CacheShard &shard = *shards_[i];
-            base::MutexLock lock(shard.mu);
-            if (shard.lru.empty()) {
-                continue;
-            }
-            auto it = shard.entries.find(shard.lru.back());
-            SEVF_CHECK(it != shard.entries.end());
-            if (it->second.last_use < victim_age) {
-                victim_age = it->second.last_use;
-                victim_shard = i;
-            }
-        }
-        if (victim_shard == shards_.size()) {
-            return; // every shard empty; nothing left to evict
-        }
-        CacheShard &shard = *shards_[victim_shard];
-        base::MutexLock lock(shard.mu);
-        if (shard.lru.empty() || bytes_.load() <= cap) {
-            continue;
-        }
-        evictTailLocked(shard);
-    }
-}
-
-void
-TemplateCache::insertLocked(CacheShard &shard, const std::string &key_hex,
-                            std::shared_ptr<const LaunchTemplate> tmpl)
-    SEVF_REQUIRES(shard.mu)
-{
-    auto old = shard.entries.find(key_hex);
-    if (old != shard.entries.end()) {
-        shard.bytes -= old->second.bytes;
-        bytes_.fetch_sub(old->second.bytes);
-        shard.lru.erase(old->second.lru_it);
-        shard.entries.erase(old);
+    auto old = entries_.find(key_hex);
+    if (old != entries_.end()) {
+        eraseLocked(old, dropped);
     }
     Entry entry;
     entry.bytes = tmpl->byteSize();
     entry.tmpl = std::move(tmpl);
-    entry.last_use = lru_clock_.fetch_add(1) + 1;
-    shard.lru.push_front(key_hex);
-    entry.lru_it = shard.lru.begin();
-    shard.bytes += entry.bytes;
-    bytes_.fetch_add(entry.bytes);
-    shard.entries.emplace(key_hex, std::move(entry));
-    shard.inserts++;
+    lru_.push_front(key_hex);
+    entry.lru_it = lru_.begin();
+    bytes_ += entry.bytes;
+    entries_.emplace(key_hex, std::move(entry));
+    inserts_++;
     inserts_metric_.add();
-    bytes_metric_.set(static_cast<i64>(bytes_.load()));
-    // The per-shard cap (when armed) is enforced here, under the one
-    // lock already held; the global budget is enforced by the caller
-    // after this lock is dropped. May evict the entry just inserted
-    // when the budget is smaller than one template — correct (the
-    // cache simply stays empty), and the eviction test relies on it.
-    evictShardToFitLocked(shard);
+    bytes_metric_.set(static_cast<i64>(bytes_));
+    evictToFitLocked(dropped);
 }
 
 std::shared_ptr<const LaunchTemplate>
@@ -342,54 +237,51 @@ TemplateCache::beginLookup(const LaunchKey &key)
 {
     SEVF_SPAN("cache.lookup");
     std::string key_hex = key.hex();
-    CacheShard &shard = shardFor(key_hex);
     {
-        base::MutexLock lock(shard.mu);
+        base::MutexLock lock(mu_);
         bool counted_wait = false;
         for (;;) {
-            auto it = shard.entries.find(key_hex);
-            if (it != shard.entries.end()) {
-                touchLocked(shard, it->second);
-                shard.hits++;
+            auto it = entries_.find(key_hex);
+            if (it != entries_.end()) {
+                touchLocked(it->second);
+                hits_++;
                 hits_metric_.add();
                 return Lookup{it->second.tmpl, false};
             }
-            if (shard.building.count(key_hex) == 0) {
+            if (building_.count(key_hex) == 0) {
                 // Tentatively claim, then probe the disk tier below
-                // WITHOUT the shard lock: followers of this key wait on
-                // the claim, but lookups of other keys in the shard are
-                // not stalled behind file I/O.
-                shard.building.insert(key_hex);
+                // WITHOUT the lock: followers of this key wait on the
+                // claim, but lookups of other keys are not stalled
+                // behind file I/O.
+                building_.insert(key_hex);
                 break;
             }
             // Another thread is building this exact template: wait for
             // its publish/abandon instead of duplicating a multi-second
             // build.
             if (!counted_wait) {
-                shard.single_flight_waits++;
+                single_flight_waits_++;
                 counted_wait = true;
             }
-            while (shard.building.count(key_hex) != 0) {
-                shard.build_done.wait(lock.native());
+            while (building_.count(key_hex) != 0) {
+                build_done_.wait(lock.native());
             }
         }
     }
 
     std::shared_ptr<const LaunchTemplate> loaded = loadFromDisk(key_hex);
-    {
-        base::MutexLock lock(shard.mu);
-        if (loaded == nullptr) {
-            shard.misses++;
-            misses_metric_.add();
-            return Lookup{nullptr, true};
-        }
-        insertLocked(shard, key_hex, loaded);
-        shard.hits++;
-        hits_metric_.add();
-        shard.building.erase(key_hex);
-        shard.build_done.notify_all();
+    Dropped dropped;
+    base::MutexLock lock(mu_);
+    if (loaded == nullptr) {
+        misses_++;
+        misses_metric_.add();
+        return Lookup{nullptr, true};
     }
-    evictGlobalToFit();
+    insertLocked(key_hex, loaded, dropped);
+    hits_++;
+    hits_metric_.add();
+    building_.erase(key_hex);
+    build_done_.notify_all();
     // Serve the loaded copy directly: correct even when the entry was
     // evicted on arrival (budget below one template).
     return Lookup{loaded, false};
@@ -402,24 +294,20 @@ TemplateCache::publish(const LaunchKey &key,
     SEVF_SPAN("cache.publish");
     std::string key_hex = key.hex();
     persistToDisk(key_hex, *tmpl);
-    CacheShard &shard = shardFor(key_hex);
-    {
-        base::MutexLock lock(shard.mu);
-        insertLocked(shard, key_hex, std::move(tmpl));
-        shard.building.erase(key_hex);
-        shard.build_done.notify_all();
-    }
-    evictGlobalToFit();
+    Dropped dropped;
+    base::MutexLock lock(mu_);
+    insertLocked(key_hex, std::move(tmpl), dropped);
+    building_.erase(key_hex);
+    build_done_.notify_all();
 }
 
 void
 TemplateCache::abandon(const LaunchKey &key)
 {
     std::string key_hex = key.hex();
-    CacheShard &shard = shardFor(key_hex);
-    base::MutexLock lock(shard.mu);
-    shard.building.erase(key_hex);
-    shard.build_done.notify_all();
+    base::MutexLock lock(mu_);
+    building_.erase(key_hex);
+    build_done_.notify_all();
 }
 
 void
@@ -429,18 +317,14 @@ TemplateCache::invalidate(const LaunchKey &key)
     // Poisoning: a template only gets invalidated after it failed to
     // replay (BootStrategy falls back to a cold boot). Counted so
     // operators can tell a one-off torn file from a poisoning storm.
-    poisoned_.fetch_add(1);
     poisoned_metric_.add();
-    CacheShard &shard = shardFor(key_hex);
     {
-        base::MutexLock lock(shard.mu);
-        auto it = shard.entries.find(key_hex);
-        if (it != shard.entries.end()) {
-            shard.bytes -= it->second.bytes;
-            bytes_.fetch_sub(it->second.bytes);
-            shard.lru.erase(it->second.lru_it);
-            shard.entries.erase(it);
-            bytes_metric_.set(static_cast<i64>(bytes_.load()));
+        Dropped dropped;
+        base::MutexLock lock(mu_);
+        poisoned_++;
+        auto it = entries_.find(key_hex);
+        if (it != entries_.end()) {
+            eraseLocked(it, dropped);
         }
     }
     std::string dir;
@@ -459,51 +343,46 @@ std::shared_ptr<const LaunchTemplate>
 TemplateCache::find(const LaunchKey &key)
 {
     std::string key_hex = key.hex();
-    CacheShard &shard = shardFor(key_hex);
-    base::MutexLock lock(shard.mu);
-    auto it = shard.entries.find(key_hex);
-    if (it == shard.entries.end()) {
+    base::MutexLock lock(mu_);
+    auto it = entries_.find(key_hex);
+    if (it == entries_.end()) {
         return nullptr;
     }
-    touchLocked(shard, it->second);
+    touchLocked(it->second);
     return it->second.tmpl;
 }
 
 void
 TemplateCache::clear()
 {
-    for (auto &shard_ptr : shards_) {
-        CacheShard &shard = *shard_ptr;
-        base::MutexLock lock(shard.mu);
-        bytes_.fetch_sub(shard.bytes);
-        shard.bytes = 0;
-        shard.entries.clear();
-        shard.lru.clear();
-    }
-    bytes_metric_.set(static_cast<i64>(bytes_.load()));
+    EntryMap dropped;
+    base::MutexLock lock(mu_);
+    dropped.swap(entries_);
+    lru_.clear();
+    bytes_ = 0;
+    bytes_metric_.set(0);
 }
 
 TemplateCache::Stats
 TemplateCache::stats() const
 {
     Stats s;
-    for (const auto &shard_ptr : shards_) {
-        const CacheShard &shard = *shard_ptr;
-        base::MutexLock lock(shard.mu);
-        s.hits += shard.hits;
-        s.misses += shard.misses;
-        s.inserts += shard.inserts;
-        s.evictions += shard.evictions;
-        s.single_flight_waits += shard.single_flight_waits;
-        s.bytes += shard.bytes;
-        s.entries += shard.entries.size();
+    {
+        base::MutexLock lock(mu_);
+        s.hits = hits_;
+        s.misses = misses_;
+        s.inserts = inserts_;
+        s.evictions = evictions_;
+        s.single_flight_waits = single_flight_waits_;
+        s.bytes = bytes_;
+        s.entries = entries_.size();
+        s.poisoned = poisoned_;
     }
     {
         base::MutexLock lock(disk_.mu);
         s.disk_errors = disk_.errors;
         s.quarantined = disk_.quarantines;
     }
-    s.poisoned = poisoned_.load();
     return s;
 }
 

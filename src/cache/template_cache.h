@@ -12,15 +12,16 @@
  * per-launch work that remains is re-encrypting the staged plan with
  * the fresh VM's key and lazily materializing CoW pages.
  *
- * Concurrency: the map is sharded by launch-key prefix so concurrent
- * warm hits on distinct keys never contend on one global lock (the
- * serving-layer scaling bottleneck ISSUE 10 targets). Each shard has
- * its own mutex, hash map, and intrusive LRU list; the byte budget is
- * global, enforced by evicting the globally least-recently-used entry
- * (found by comparing the N shard tails, one lock at a time — locks
- * are never nested, see tools/lock-order.txt). Disk-tier health is
- * global state behind its own mutex, never held together with a shard
- * lock.
+ * Concurrency: one mutex guards the entry map, the intrusive LRU list,
+ * the single-flight build set and the counters, so the byte budget is
+ * enforced in exact least-recently-used order. Its critical sections
+ * are map and list operations only: disk-tier I/O runs outside it, and
+ * templates dropped by eviction, replacement or invalidation are freed
+ * after it is released. Every SEV launch command serializes on the
+ * single-core PSP anyway, so the microseconds a warm lookup spends
+ * under this lock do not bound serving throughput. Disk-tier health is
+ * state behind its own mutex, never held together with the cache mutex
+ * (tools/lock-order.txt).
  *
  * Trust story: the cache lives entirely OUTSIDE the TCB closure
  * (enforced by tools/ci.sh stage [tcb]). A corrupted template changes
@@ -32,7 +33,6 @@
 #ifndef SEVF_CACHE_TEMPLATE_CACHE_H_
 #define SEVF_CACHE_TEMPLATE_CACHE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <list>
 #include <memory>
@@ -92,8 +92,8 @@ struct LaunchTemplate {
 };
 
 /**
- * Sharded LRU-by-bytes cache of launch templates with single-flight
- * build deduplication and optional disk persistence.
+ * LRU-by-bytes cache of launch templates with single-flight build
+ * deduplication and optional disk persistence.
  *
  * Single-flight: the first thread to miss on a key claims the build
  * (Lookup::claimed); concurrent lookups of the same key block until it
@@ -128,33 +128,15 @@ class TemplateCache
         bool claimed = false;
     };
 
-    /** Warm-hit lock sharding factor (a power of two keeps the prefix
-     *  mapping uniform; any value >= 1 works). */
-    static constexpr unsigned kDefaultShards = 8;
-
-    explicit TemplateCache(unsigned shards = kDefaultShards);
+    TemplateCache();
     ~TemplateCache() = default;
     TemplateCache(const TemplateCache &) = delete;
     TemplateCache &operator=(const TemplateCache &) = delete;
 
-    unsigned shardCount() const { return shard_count_; }
-
-    /** Global in-memory budget; publishing past it evicts the
-     *  globally least-recently-used entries across all shards. */
+    /** In-memory byte budget; publishing past it evicts the
+     *  least-recently-used entries until the resident bytes fit. */
     void setCapacityBytes(u64 bytes);
     u64 capacityBytes() const;
-
-    /**
-     * Optional per-shard byte cap (0 = disabled, the default). The
-     * launch service derives this from the sum of tenant cache shares
-     * so one hot key-prefix range cannot monopolize the budget; it is
-     * enforced locally at publish time, before the global budget.
-     */
-    void setShardCapacityBytes(u64 bytes);
-    u64 shardCapacityBytes() const
-    {
-        return shard_capacity_bytes_.load(std::memory_order_relaxed);
-    }
 
     /**
      * Enable disk persistence under @p dir (created by the caller).
@@ -199,38 +181,26 @@ class TemplateCache
     Stats stats() const;
 
   private:
+    /** Default in-memory budget: generous enough that tests never
+     *  evict unless they ask to (--cache-bytes overrides). */
+    static constexpr u64 kDefaultCapacityBytes = 2ull * kGiB;
+
     struct Entry {
         std::shared_ptr<const LaunchTemplate> tmpl;
         u64 bytes = 0;
-        /** Global LRU stamp, for cross-shard victim selection. */
-        u64 last_use = 0;
-        /** This entry's node in CacheShard::lru (O(1) touch/evict). */
+        /** This entry's node in lru_ (O(1) touch/evict). */
         std::list<std::string>::iterator lru_it;
     };
+    using EntryMap = std::unordered_map<std::string, Entry>;
 
     /**
-     * One lock domain. The discipline (mechanized in lock-order.txt)
-     * is the taint shard map's: at most one CacheShard::mu held at a
-     * time, and never together with DiskTier::mu.
+     * Templates unlinked under mu_. Callers declare one before taking
+     * the lock, so a dropped template (tens of MB) is freed after the
+     * lock is released, not inside the critical section.
      */
-    struct CacheShard {
-        mutable base::Mutex mu;
-        std::condition_variable build_done;
-        std::unordered_map<std::string, Entry> entries
-            SEVF_GUARDED_BY(mu);
-        /** Intrusive recency list: front = most recent, back = LRU
-         *  victim. Entries hold their node iterator. */
-        std::list<std::string> lru SEVF_GUARDED_BY(mu);
-        std::set<std::string> building SEVF_GUARDED_BY(mu);
-        u64 bytes SEVF_GUARDED_BY(mu) = 0;
-        u64 hits SEVF_GUARDED_BY(mu) = 0;
-        u64 misses SEVF_GUARDED_BY(mu) = 0;
-        u64 inserts SEVF_GUARDED_BY(mu) = 0;
-        u64 evictions SEVF_GUARDED_BY(mu) = 0;
-        u64 single_flight_waits SEVF_GUARDED_BY(mu) = 0;
-    };
+    using Dropped = std::vector<std::shared_ptr<const LaunchTemplate>>;
 
-    /** Disk-tier health, global across shards (one disk, one streak). */
+    /** Disk-tier health (one disk, one streak). */
     struct DiskTier {
         mutable base::Mutex mu;
         std::string dir SEVF_GUARDED_BY(mu);
@@ -240,22 +210,17 @@ class TemplateCache
         u64 quarantines SEVF_GUARDED_BY(mu) = 0;
     };
 
-    CacheShard &shardFor(const std::string &key_hex);
-
     /** Stamp @p entry most-recently-used (O(1) list splice). */
-    void touchLocked(CacheShard &shard, Entry &entry)
-        SEVF_REQUIRES(shard.mu);
-    /** Evict @p shard's LRU tail; caller re-checks budgets. */
-    void evictTailLocked(CacheShard &shard) SEVF_REQUIRES(shard.mu);
-    /** Enforce the optional per-shard cap (publish path). */
-    void evictShardToFitLocked(CacheShard &shard)
-        SEVF_REQUIRES(shard.mu);
-    /** Enforce the global budget by cross-shard LRU eviction. Must be
-     *  called with NO shard lock held (locks shards one at a time). */
-    void evictGlobalToFit();
-    void insertLocked(CacheShard &shard, const std::string &key_hex,
-                      std::shared_ptr<const LaunchTemplate> tmpl)
-        SEVF_REQUIRES(shard.mu);
+    void touchLocked(Entry &entry) SEVF_REQUIRES(mu_);
+    /** Unlink @p it from the map, the LRU list and the byte total. */
+    void eraseLocked(EntryMap::iterator it, Dropped &dropped)
+        SEVF_REQUIRES(mu_);
+    /** Evict least-recently-used entries until the budget fits. */
+    void evictToFitLocked(Dropped &dropped) SEVF_REQUIRES(mu_);
+    /** Install (or replace) @p key_hex as most recent, then evict. */
+    void insertLocked(const std::string &key_hex,
+                      std::shared_ptr<const LaunchTemplate> tmpl,
+                      Dropped &dropped) SEVF_REQUIRES(mu_);
 
     /** <dir>/<key-hex>.tmpl, or "" when disabled or quarantined. */
     std::string diskPathFor(const std::string &key_hex) const;
@@ -266,17 +231,22 @@ class TemplateCache
     void noteDiskError(const Status &error);
     void noteDiskOk();
 
-    const unsigned shard_count_;
-    std::vector<std::unique_ptr<CacheShard>> shards_;
+    mutable base::Mutex mu_;
+    std::condition_variable build_done_;
+    EntryMap entries_ SEVF_GUARDED_BY(mu_);
+    /** Intrusive recency list: front = most recent, back = LRU victim.
+     *  Entries hold their node iterator. */
+    std::list<std::string> lru_ SEVF_GUARDED_BY(mu_);
+    std::set<std::string> building_ SEVF_GUARDED_BY(mu_);
+    u64 bytes_ SEVF_GUARDED_BY(mu_) = 0;
+    u64 capacity_bytes_ SEVF_GUARDED_BY(mu_) = kDefaultCapacityBytes;
+    u64 hits_ SEVF_GUARDED_BY(mu_) = 0;
+    u64 misses_ SEVF_GUARDED_BY(mu_) = 0;
+    u64 inserts_ SEVF_GUARDED_BY(mu_) = 0;
+    u64 evictions_ SEVF_GUARDED_BY(mu_) = 0;
+    u64 single_flight_waits_ SEVF_GUARDED_BY(mu_) = 0;
+    u64 poisoned_ SEVF_GUARDED_BY(mu_) = 0;
     mutable DiskTier disk_;
-
-    /** Global accounting: atomics, so the hot path takes exactly one
-     *  shard lock and eviction can compare shards without nesting. */
-    std::atomic<u64> lru_clock_{0};
-    std::atomic<u64> bytes_{0};
-    std::atomic<u64> capacity_bytes_;
-    std::atomic<u64> shard_capacity_bytes_{0};
-    std::atomic<u64> poisoned_{0};
 
     // Registered at construction so the cache_* families appear in
     // every metrics export (sevf_obscheck requires them) even before

@@ -154,7 +154,7 @@ AdmissionPipeline::submit(StrategyKind kind, LaunchRequest request,
                 // NB: not job.tenant — std::move(job) may be evaluated
                 // before the first argument is read.
             } else if (sched_.push(tenant, std::move(job)) ==
-                       service::DrrScheduler<Job>::Push::kQuotaExceeded) {
+                       DrrScheduler<Job>::Push::kQuotaExceeded) {
                 quota_rejected = true;
                 stats_.rejected_quota++;
             } else {
@@ -211,7 +211,7 @@ AdmissionPipeline::rejectedTicket(Status error)
 
 void
 AdmissionPipeline::setTenantLimits(const std::string &tenant,
-                                   service::ScheduleLimits limits)
+                                   ScheduleLimits limits)
 {
     {
         base::MutexLock lock(mu_);

@@ -7,7 +7,7 @@
  * submit() blocks while the queue is full, so a burst of invocations
  * applies back-pressure instead of piling up unboundedly. Dispatch is
  * weighted deficit round robin over per-tenant sub-queues
- * (service/drr_scheduler.h) rather than global FIFO, so one flooding
+ * (core/drr_scheduler.h) rather than global FIFO, so one flooding
  * tenant gets its weighted share of workers instead of the whole pool;
  * per-tenant queue quotas reject with a typed kQuotaExceeded. The
  * legacy tenant-less submit() maps to a default tenant with no quota,
@@ -39,8 +39,8 @@
 
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
+#include "core/drr_scheduler.h"
 #include "core/launch.h"
-#include "service/drr_scheduler.h"
 
 namespace sevf::core {
 
@@ -141,8 +141,7 @@ class AdmissionPipeline
                                          CompletionHook on_complete = {});
 
     /** Install/replace @p tenant's scheduling limits. */
-    void setTenantLimits(const std::string &tenant,
-                         service::ScheduleLimits limits);
+    void setTenantLimits(const std::string &tenant, ScheduleLimits limits);
 
     /** A ticket pre-resolved with @p error — for callers layered above
      *  the pipeline (the launch service) that reject a launch before it
@@ -178,7 +177,7 @@ class AdmissionPipeline
     std::condition_variable space_; //!< queue has a free slot / stopping
     std::condition_variable work_;  //!< dispatchable job / stopping
     std::condition_variable idle_;  //!< queue empty and no job running
-    service::DrrScheduler<Job> sched_ SEVF_GUARDED_BY(mu_);
+    DrrScheduler<Job> sched_ SEVF_GUARDED_BY(mu_);
     unsigned active_ SEVF_GUARDED_BY(mu_) = 0;
     bool stopping_ SEVF_GUARDED_BY(mu_) = false;
     Stats stats_ SEVF_GUARDED_BY(mu_);

@@ -9,7 +9,8 @@
 namespace sevf::obs {
 namespace {
 
-/** Prometheus label-value / JSON string escaping (same rules suffice). */
+/** Prometheus label-value escaping: the text format escapes only the
+ *  quote, the backslash and newline. JSON goes through jsonEscaped(). */
 std::string
 escaped(std::string_view s)
 {
@@ -25,6 +26,14 @@ escaped(std::string_view s)
         }
         out += c;
     }
+    return out;
+}
+
+std::string
+jsonEscaped(std::string_view s)
+{
+    std::string out;
+    appendJsonEscaped(out, s);
     return out;
 }
 
@@ -117,15 +126,16 @@ exportMetricsJson()
             out += ",\n";
         }
         first = false;
-        out += "  {\"name\": \"" + escaped(m.name) + "\", \"kind\": \"";
+        out += "  {\"name\": \"" + jsonEscaped(m.name) + "\", \"kind\": \"";
         out += metricKindName(m.kind);
-        out += "\", \"help\": \"" + escaped(m.help) + "\", \"labels\": {";
+        out += "\", \"help\": \"" + jsonEscaped(m.help) +
+               "\", \"labels\": {";
         for (std::size_t i = 0; i < m.labels.size(); ++i) {
             if (i > 0) {
                 out += ", ";
             }
-            out += "\"" + escaped(m.labels[i].first) + "\": \"" +
-                   escaped(m.labels[i].second) + "\"";
+            out += "\"" + jsonEscaped(m.labels[i].first) + "\": \"" +
+                   jsonEscaped(m.labels[i].second) + "\"";
         }
         out += "}";
         switch (m.kind) {

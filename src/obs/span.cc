@@ -247,10 +247,8 @@ Span::~Span()
 
 // ---- Chrome trace export -------------------------------------------------
 
-namespace {
-
 void
-appendEscaped(std::string &out, std::string_view s)
+appendJsonEscaped(std::string &out, std::string_view s)
 {
     for (char c : s) {
         switch (c) {
@@ -278,11 +276,13 @@ appendEscaped(std::string &out, std::string_view s)
     }
 }
 
+namespace {
+
 void
 appendString(std::string &out, std::string_view s)
 {
     out += '"';
-    appendEscaped(out, s);
+    appendJsonEscaped(out, s);
     out += '"';
 }
 

@@ -49,6 +49,8 @@ LaunchService::LaunchService(core::Platform &platform,
                                                 config.queue_depth,
                                                 config.shed_on_full})
 {
+    // The series submit() counts every unregistered tenant id under.
+    registerTenantMetrics(std::string());
     applyQuotas();
 }
 
@@ -79,14 +81,7 @@ LaunchService::applyQuotas()
     if (total_share == 0) {
         return; // no tenant bought cache bytes: keep the default budget
     }
-    cache::TemplateCache &cache = platform_.templateCache();
-    cache.setCapacityBytes(total_share);
-    // Per-shard cap: the fair slice times 2. Keys are SHA-256 hex, so
-    // shard occupancy concentrates around total/shards; the slack
-    // absorbs binomial skew while still preventing one hot shard from
-    // pinning the whole budget (the global LRU handles the rest).
-    u64 shards = cache.shardCount();
-    cache.setShardCapacityBytes((total_share / shards) * 2 + 1);
+    platform_.templateCache().setCapacityBytes(total_share);
 }
 
 std::shared_ptr<core::LaunchTicket>
@@ -94,8 +89,14 @@ LaunchService::submit(const std::string &tenant, core::StrategyKind kind,
                       core::LaunchRequest request)
 {
     SEVF_SPAN("service.enqueue");
-    obs::Labels labels{{"tenant", tenant}};
+    bool known = registry_.quota(tenant).has_value();
+    // Unregistered ids all count under the empty-id series, which no
+    // tenant can register: caller-chosen ids never mint new series, and
+    // every series keeps submitted == completed + failed + rejected.
+    obs::Labels labels{{"tenant", known ? tenant : std::string()}};
     obs::Registry &reg = obs::Registry::instance();
+    reg.counter("sevf_service_submitted_total", kSubmittedHelp, labels)
+        .add();
 
     auto rejected = [&](Status error) {
         reg.counter("sevf_service_rejected_total", kRejectedHelp, labels)
@@ -103,7 +104,7 @@ LaunchService::submit(const std::string &tenant, core::StrategyKind kind,
         return core::AdmissionPipeline::rejectedTicket(std::move(error));
     };
 
-    if (!registry_.quota(tenant).has_value()) {
+    if (!known) {
         return rejected(
             errNotFound("unknown tenant \"" + tenant + "\"" +
                         ": register it before submitting launches"));
@@ -114,8 +115,6 @@ LaunchService::submit(const std::string &tenant, core::StrategyKind kind,
         return rejected(std::move(admitted));
     }
 
-    reg.counter("sevf_service_submitted_total", kSubmittedHelp, labels)
-        .add();
     u64 t0 = obs::wallNowNs();
     // The hook fires exactly once per ticket, on whichever thread
     // resolves it, so the per-tenant counters cannot drift from the

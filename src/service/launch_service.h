@@ -1,27 +1,26 @@
 /**
  * @file
  * Multi-tenant launch service: the serving layer over the admission
- * pipeline and the sharded template cache.
+ * pipeline and the template cache.
  *
  * A LaunchService binds three things together:
  *
  *  - a TenantRegistry (service/tenant.h) holding per-tenant quotas,
  *  - the platform's AdmissionPipeline, whose weighted-DRR scheduler is
  *    programmed from those quotas (weight, max_in_flight, max_queued),
- *  - the platform's sharded TemplateCache, whose global byte budget is
- *    the sum of registered cache shares and whose per-shard cap is that
- *    total spread across the shards with 2x slack (launch keys are
- *    SHA-256 prefixes, so shard occupancy is binomial — the slack keeps
- *    a mildly skewed shard from thrashing while still bounding how much
- *    of the budget any one shard can pin; docs/SERVICE.md).
+ *  - the platform's TemplateCache, whose byte budget is the sum of
+ *    registered cache shares (docs/SERVICE.md).
  *
  * Per-tenant observability rides on the pipeline's completion hook:
  * sevf_service_submitted/completed/failed/rejected_total{tenant=...}
  * counters plus a sevf_service_latency_ns{tenant=...} histogram of
- * submit-to-resolution wall time. The "service.enqueue" span marks each
- * submit on the wall track. All families are registered eagerly when a
- * tenant registers, so exports list them zero-valued and the obscheck
- * doc-drift gate covers them (tools/sevf_obscheck.cc --service).
+ * submit-to-resolution wall time. Submits for unregistered ids all
+ * count under tenant="" (an id no tenant can register). The
+ * "service.enqueue" span marks each submit on the wall track. All
+ * families are registered eagerly, for tenant="" at construction and
+ * for each tenant when it registers, so exports list them zero-valued
+ * and the obscheck doc-drift gate covers them
+ * (tools/sevf_obscheck.cc --service).
  *
  * The whole service layer stays OUTSIDE the measured TCB: it decides
  * when launches run and who pays for cache bytes, never what gets

@@ -6,9 +6,8 @@
  * with a quota: a DRR weight, an in-flight cap, a queued-launch cap,
  * and a cache-byte share. The registry is the single source of truth
  * the launch service reads to (a) program the admission scheduler's
- * per-tenant limits and (b) size the template cache — the global
- * budget is the sum of registered shares, and the per-shard cap is
- * that total divided by the shard count (docs/SERVICE.md).
+ * per-tenant limits and (b) size the template cache, whose byte budget
+ * is the sum of registered shares (docs/SERVICE.md).
  *
  * Everything here stays OUTSIDE the measured TCB (ci.sh stage [tcb]):
  * quota enforcement decides only WHEN a launch runs, never what gets
@@ -27,7 +26,7 @@
 #include "base/status.h"
 #include "base/thread_annotations.h"
 #include "base/types.h"
-#include "service/drr_scheduler.h"
+#include "core/drr_scheduler.h"
 
 namespace sevf::service {
 
@@ -43,10 +42,10 @@ struct TenantQuota {
     u64 cache_share_bytes = 0;
 
     /** The subset the admission scheduler consumes. */
-    ScheduleLimits
+    core::ScheduleLimits
     scheduleLimits() const
     {
-        ScheduleLimits limits;
+        core::ScheduleLimits limits;
         limits.weight = weight;
         limits.max_in_flight = max_in_flight;
         limits.max_queued = max_queued;
@@ -57,8 +56,9 @@ struct TenantQuota {
 class TenantRegistry
 {
   public:
-    /** Register (or re-register, updating the quota) @p id. Empty ids
-     *  are reserved for the quota-less legacy submit path. */
+    /** Register (or re-register, updating the quota) @p id. The empty
+     *  id is reserved: it is the quota-less legacy submit path's
+     *  tenant, and the launch service's unknown-tenant metric label. */
     Status
     registerTenant(const std::string &id, TenantQuota quota)
     {

@@ -17,9 +17,9 @@
 #include "cache/launch_key.h"
 #include "cache/template_cache.h"
 #include "core/admission.h"
+#include "core/drr_scheduler.h"
 #include "core/launch.h"
 #include "memory/guest_memory.h"
-#include "service/drr_scheduler.h"
 #include "workload/synthetic.h"
 
 namespace sevf {
@@ -206,10 +206,10 @@ TEST(TemplateCacheTest, LruEvictionByBytes)
 
 TEST(TemplateCacheTest, EvictionOrderSurvivesShardRewrite)
 {
-    // Freeze exact LRU semantics across the intrusive-list rewrite: a
-    // single-shard cache evicts in access order, with both publishes
-    // and find() touches counting as uses.
-    cache::TemplateCache cache(/*shards=*/1);
+    // Freeze exact LRU semantics across the intrusive-list rewrite: the
+    // cache evicts in access order, with both publishes and find()
+    // touches counting as uses.
+    cache::TemplateCache cache;
     auto size = syntheticTemplate(16 * 1024)->byteSize();
     cache.setCapacityBytes(3 * size + size / 2); // holds exactly three
 
@@ -262,39 +262,9 @@ TEST(TemplateCacheTest, ManyEntryShrinkEvictsOldestFirst)
     }
 }
 
-TEST(TemplateCacheTest, PerShardCapBoundsOneShardWithoutEmptyingOthers)
-{
-    // One-shard edge: the per-shard cap alone must bound residency even
-    // when the global budget is far away (the launch service derives
-    // this cap from tenant cache shares).
-    cache::TemplateCache cache(/*shards=*/1);
-    auto size = syntheticTemplate(16 * 1024)->byteSize();
-    cache.setShardCapacityBytes(2 * size + size / 2);
-
-    for (u64 n = 1; n <= 4; ++n) {
-        cache.publish(syntheticKey(n), syntheticTemplate(16 * 1024));
-    }
-    {
-        cache::TemplateCache::Stats s = cache.stats();
-        EXPECT_EQ(s.entries, 2u);
-        EXPECT_EQ(s.evictions, 2u);
-        EXPECT_NE(cache.find(syntheticKey(3)), nullptr);
-        EXPECT_NE(cache.find(syntheticKey(4)), nullptr);
-    }
-
-    // Tightening the cap evicts immediately, LRU first.
-    cache.setShardCapacityBytes(size + size / 2);
-    EXPECT_EQ(cache.stats().entries, 1u);
-    EXPECT_EQ(cache.find(syntheticKey(3)), nullptr);
-    EXPECT_NE(cache.find(syntheticKey(4)), nullptr);
-}
-
 TEST(TemplateCacheTest, ShardedLookupsKeepGlobalLruAndSingleFlight)
 {
-    // Default shard count: keys scatter across shards, yet the global
-    // budget and single-flight semantics are shard-transparent.
     cache::TemplateCache cache;
-    EXPECT_EQ(cache.shardCount(), cache::TemplateCache::kDefaultShards);
 
     cache::TemplateCache::Lookup miss = cache.beginLookup(syntheticKey(1));
     EXPECT_TRUE(miss.claimed);
@@ -303,8 +273,8 @@ TEST(TemplateCacheTest, ShardedLookupsKeepGlobalLruAndSingleFlight)
     EXPECT_FALSE(hit.claimed);
     EXPECT_NE(hit.tmpl, nullptr);
 
-    // Concurrent distinct-key lookups across shards: no deadlock, every
-    // claim resolves (exercises the per-shard locks under TSan).
+    // Concurrent distinct-key lookups: no deadlock, every claim
+    // resolves (exercises the cache lock under TSan).
     constexpr int kThreads = 4;
     constexpr u64 kKeysPerThread = 32;
     std::vector<std::thread> workers;
@@ -773,7 +743,7 @@ TEST(AdmissionTest, TenantQuotaRejectsWithTypedError)
     core::AdmissionConfig config;
     config.workers = 1;
     core::AdmissionPipeline pipeline(platform, config);
-    service::ScheduleLimits limits;
+    core::ScheduleLimits limits;
     limits.max_queued = 1;
     pipeline.setTenantLimits("capped", limits);
 
@@ -827,18 +797,18 @@ TEST(AdmissionTest, CompletionHookSeesResultOnWorkerThread)
 
 TEST(DrrSchedulerTest, WeightedShareUnderContention)
 {
-    service::DrrScheduler<int> sched;
-    service::ScheduleLimits heavy;
+    core::DrrScheduler<int> sched;
+    core::ScheduleLimits heavy;
     heavy.weight = 3;
     sched.setLimits("heavy", heavy);
     // "light" keeps the default weight of 1.
     for (int i = 0; i < 12; ++i) {
         ASSERT_EQ(sched.push("heavy", 100 + i),
-                  service::DrrScheduler<int>::Push::kOk);
+                  core::DrrScheduler<int>::Push::kOk);
     }
     for (int i = 0; i < 4; ++i) {
         ASSERT_EQ(sched.push("light", 200 + i),
-                  service::DrrScheduler<int>::Push::kOk);
+                  core::DrrScheduler<int>::Push::kOk);
     }
     // Every round: 3 heavy pops then 1 light pop (3:1 weighted share),
     // so the light tenant's last job leaves by pop 16 overall and each
@@ -864,14 +834,14 @@ TEST(DrrSchedulerTest, WeightedShareUnderContention)
 
 TEST(DrrSchedulerTest, InFlightCapParksTenantUntilCompletion)
 {
-    service::DrrScheduler<int> sched;
-    service::ScheduleLimits capped;
+    core::DrrScheduler<int> sched;
+    core::ScheduleLimits capped;
     capped.max_in_flight = 1;
     sched.setLimits("capped", capped);
     ASSERT_EQ(sched.push("capped", 1),
-              service::DrrScheduler<int>::Push::kOk);
+              core::DrrScheduler<int>::Push::kOk);
     ASSERT_EQ(sched.push("capped", 2),
-              service::DrrScheduler<int>::Push::kOk);
+              core::DrrScheduler<int>::Push::kOk);
 
     std::optional<int> first = sched.pop();
     ASSERT_TRUE(first.has_value());
@@ -892,17 +862,17 @@ TEST(DrrSchedulerTest, InFlightCapParksTenantUntilCompletion)
 
 TEST(DrrSchedulerTest, MaxQueuedRefusesPush)
 {
-    service::DrrScheduler<int> sched;
-    service::ScheduleLimits limits;
+    core::DrrScheduler<int> sched;
+    core::ScheduleLimits limits;
     limits.max_queued = 2;
     sched.setLimits("t", limits);
-    EXPECT_EQ(sched.push("t", 1), service::DrrScheduler<int>::Push::kOk);
-    EXPECT_EQ(sched.push("t", 2), service::DrrScheduler<int>::Push::kOk);
+    EXPECT_EQ(sched.push("t", 1), core::DrrScheduler<int>::Push::kOk);
+    EXPECT_EQ(sched.push("t", 2), core::DrrScheduler<int>::Push::kOk);
     EXPECT_EQ(sched.push("t", 3),
-              service::DrrScheduler<int>::Push::kQuotaExceeded);
+              core::DrrScheduler<int>::Push::kQuotaExceeded);
     // A pop frees a slot (quota is on QUEUED jobs, not in-flight ones).
     ASSERT_TRUE(sched.pop().has_value());
-    EXPECT_EQ(sched.push("t", 3), service::DrrScheduler<int>::Push::kOk);
+    EXPECT_EQ(sched.push("t", 3), core::DrrScheduler<int>::Push::kOk);
 }
 
 TEST(DrrSchedulerTest, IdleTenantEntersAtRingHead)
@@ -911,16 +881,16 @@ TEST(DrrSchedulerTest, IdleTenantEntersAtRingHead)
     // idle -> active takes the ring head, so against a standing backlog
     // its job is the very next pop instead of waiting out the
     // backlogged tenant's whole quantum.
-    service::DrrScheduler<int> sched;
+    core::DrrScheduler<int> sched;
     for (int i = 0; i < 50; ++i) {
         ASSERT_EQ(sched.push("heavy", i),
-                  service::DrrScheduler<int>::Push::kOk);
+                  core::DrrScheduler<int>::Push::kOk);
     }
     for (int i = 0; i < 10; ++i) {
         ASSERT_TRUE(sched.pop().has_value());
     }
     ASSERT_EQ(sched.push("light", 1000),
-              service::DrrScheduler<int>::Push::kOk);
+              core::DrrScheduler<int>::Push::kOk);
     std::optional<int> next = sched.pop();
     ASSERT_TRUE(next.has_value());
     EXPECT_EQ(*next, 1000);

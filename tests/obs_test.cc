@@ -283,6 +283,21 @@ TEST_F(ObsTest, MetricsJsonExportParses)
     EXPECT_TRUE(found);
 }
 
+TEST_F(ObsTest, MetricsJsonExportEscapesControlCharacters)
+{
+    // Label values can come from trace files (tenant ids). RFC 8259
+    // forbids raw control characters in strings, and stats::parseJson
+    // tolerates them, so check the exported text itself.
+    ScopedEnable on(true, false);
+    Registry::instance()
+        .counter("test_json_escape_total", "t", {{"tenant", "a\tb\x01" "c"}})
+        .add();
+    std::string json = exportMetricsJson();
+    EXPECT_NE(json.find("\"a\\tb\\u0001c\""), std::string::npos) << json;
+    EXPECT_EQ(json.find('\t'), std::string::npos);
+    EXPECT_EQ(json.find('\x01'), std::string::npos);
+}
+
 TEST_F(ObsTest, KernelTimerAccumulatesBytes)
 {
     ScopedEnable on(true, false);

@@ -155,9 +155,6 @@ TEST(LaunchServiceTest, QuotaShareProgramsCacheBudgets)
     cache::TemplateCache &cache = platform.templateCache();
     EXPECT_EQ(cache.capacityBytes(), 8u << 20)
         << "global budget = sum of tenant shares";
-    // Per-shard cap = fair slice x2 (slack for SHA-key skew).
-    EXPECT_EQ(cache.shardCapacityBytes(),
-              ((8u << 20) / cache.shardCount()) * 2 + 1);
 }
 
 TEST(LaunchServiceTest, ServiceEnqueueFaultRejectsTyped)
@@ -218,6 +215,100 @@ TEST(LaunchServiceTest, TenantQuotaRejectionCountsPerTenant)
                   .counter("sevf_service_rejected_total", "", labels)
                   .value(),
               rejected);
+}
+
+TEST(LaunchServiceTest, UnknownTenantIdsDoNotGrowTheMetricsRegistry)
+{
+    // Metrics stay off: registering a series does not need them, so an
+    // unknown id must not reach the registry at all.
+    core::Platform platform(sim::CostParams::deterministic());
+    service::TenantRegistry registry;
+    service::LaunchService svc(platform, registry);
+    std::size_t before = obs::Registry::instance().snapshot().size();
+    for (int i = 0; i < 100; ++i) {
+        auto ticket = svc.submit("ghost-" + std::to_string(i),
+                                 core::StrategyKind::kSeveriFastBz,
+                                 smallRequest());
+        EXPECT_EQ(ticket->take().status().code(), ErrorCode::kNotFound);
+    }
+    EXPECT_LE(obs::Registry::instance().snapshot().size(), before + 1);
+}
+
+TEST(LaunchServiceTest, PerTenantCountersAddUp)
+{
+    // submitted == completed + failed + rejected for every series, over
+    // a run that mixes completions, quota rejections, an injected
+    // service-enqueue fault and unknown tenants.
+    obs::ScopedEnable obs_on(/*metrics=*/true, /*tracing=*/false);
+    obs::Registry::instance().reset();
+    Result<fault::FaultPlan> plan =
+        fault::FaultPlan::parse("service-enqueue:nth=1");
+    ASSERT_TRUE(plan.isOk()) << plan.status().toString();
+    fault::ScopedFaultPlan armed(plan.take());
+
+    core::Platform platform(sim::CostParams::deterministic());
+    service::TenantRegistry registry;
+    service::ServiceConfig config;
+    config.workers = 1;
+    service::LaunchService svc(platform, registry, config);
+    service::TenantQuota tight;
+    tight.max_queued = 1;
+    ASSERT_TRUE(svc.registerTenant("tight", tight).isOk());
+
+    std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
+    for (int i = 0; i < 6; ++i) {
+        tickets.push_back(svc.submit(
+            "tight", core::StrategyKind::kSeveriFastBz, smallRequest()));
+    }
+    for (const char *ghost : {"ghost-a", "ghost-b"}) {
+        tickets.push_back(svc.submit(
+            ghost, core::StrategyKind::kSeveriFastBz, smallRequest()));
+    }
+    u64 completed = 0;
+    u64 quota = 0;
+    u64 faulted = 0;
+    u64 unknown = 0;
+    for (auto &ticket : tickets) {
+        Result<core::LaunchResult> r = ticket->take();
+        if (r.isOk()) {
+            completed++;
+            continue;
+        }
+        switch (r.status().code()) {
+        case ErrorCode::kQuotaExceeded:
+            quota++;
+            break;
+        case ErrorCode::kUnavailable:
+            faulted++;
+            break;
+        case ErrorCode::kNotFound:
+            unknown++;
+            break;
+        default:
+            ADD_FAILURE() << r.status().toString();
+        }
+    }
+    svc.drain();
+    EXPECT_GT(completed, 0u);
+    EXPECT_GT(quota, 0u);
+    EXPECT_EQ(faulted, 1u);
+    EXPECT_EQ(unknown, 2u);
+
+    auto count = [](const char *family, const std::string &tenant) {
+        return obs::Registry::instance()
+            .counter(family, "", {{"tenant", tenant}})
+            .value();
+    };
+    for (const char *tenant : {"tight", ""}) {
+        SCOPED_TRACE("tenant=\"" + std::string(tenant) + "\"");
+        EXPECT_EQ(count("sevf_service_submitted_total", tenant),
+                  count("sevf_service_completed_total", tenant) +
+                      count("sevf_service_failed_total", tenant) +
+                      count("sevf_service_rejected_total", tenant));
+    }
+    EXPECT_EQ(count("sevf_service_submitted_total", "tight"), 6u);
+    EXPECT_EQ(count("sevf_service_submitted_total", ""), 2u);
+    EXPECT_EQ(count("sevf_service_rejected_total", ""), 2u);
 }
 
 // ===================================================================

@@ -147,7 +147,7 @@ echo "==> [bench] cache hit/miss (bit-identity gate)"
 echo "==> [bench] concurrent admission pipeline"
 (cd "$root" && "$root/build-ci-werror/bench/bench_fig12_concurrent" \
     "$root/BENCH_wallclock.json")
-echo "==> [bench] service fairness + sharded-cache throughput gates"
+echo "==> [bench] service fairness gate"
 (cd "$root" && "$root/build-ci-werror/bench/bench_service_fairness" \
     "$root/BENCH_wallclock.json")
 
