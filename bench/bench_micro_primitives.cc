@@ -66,7 +66,7 @@ BM_XexEncryptPage(benchmark::State &state)
     ByteVec page = randomBytes(static_cast<std::size_t>(state.range(0)), 5);
     u64 addr = 0x1000;
     for (auto _ : state) {
-        xex.encrypt(page, addr);
+        xex.encrypt(page, page, addr);
         benchmark::DoNotOptimize(page.data());
         addr += page.size();
     }

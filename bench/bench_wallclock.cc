@@ -65,7 +65,7 @@ preEncryptAndMeasure(const crypto::XexCipher &engine, ByteVec &image)
 {
     crypto::LaunchDigest digest;
     digest.extendRegion(crypto::MeasuredPageType::kNormal, 0, image);
-    engine.encrypt(image, /*addr=*/0x100000000ull);
+    engine.encrypt(image, image, /*addr=*/0x100000000ull);
     return digest.value();
 }
 
@@ -110,11 +110,11 @@ main(int argc, char **argv)
     {
         base::ScopedHostThreads serial(1);
         t = bench::bestOf(kReps,
-                          [&] { engine.encrypt(buf, 0x100000000ull); });
+                          [&] { engine.encrypt(buf, buf, 0x100000000ull); });
         kernels.push_back(
             bench::throughputRecord("xex_encrypt", kImageBytes, t));
         t = bench::bestOf(kReps,
-                          [&] { engine.decrypt(buf, 0x100000000ull); });
+                          [&] { engine.decrypt(buf, buf, 0x100000000ull); });
         kernels.push_back(
             bench::throughputRecord("xex_decrypt", kImageBytes, t));
     }

@@ -13,6 +13,7 @@
 #include "attest/guest_owner.h"
 #include "base/bytes.h"
 #include "base/parallel.h"
+#include "cache/launch_key.h"
 #include "cache/template_cache.h"
 #include "core/trace_builder.h"
 #include "crypto/measurement.h"
@@ -67,6 +68,44 @@ ByteVec
 ownerSecret(u64 seed)
 {
     return toBytes("disk-key-" + std::to_string(seed));
+}
+
+/**
+ * Out-of-band digest of a staged boot component (§4.3). When @p staged
+ * is the process-lifetime @p artifact itself it is hashed once per
+ * process (cache::cachedContentDigest); a variant re-encoded for this
+ * launch is hashed per launch.
+ */
+crypto::Sha256Digest
+componentDigest(ByteSpan staged, const ByteVec &artifact)
+{
+    bool is_artifact = staged.data() == artifact.data() &&
+                       staged.size() == artifact.size();
+    return is_artifact ? cache::cachedContentDigest(artifact)
+                       : crypto::Sha256::digest(staged);
+}
+
+/**
+ * The in-guest boot verifier under a wall span named after its sim
+ * phase. The span lives here, outside the root of trust: verifier/ and
+ * guest/ make no obs calls.
+ */
+Result<verifier::VerifiedBoot>
+runVerifierStage(memory::GuestMemory &mem,
+                 const verifier::VerifierInputs &inputs)
+{
+    SEVF_SPAN(kBootVerification);
+    verifier::BootVerifier boot_verifier(mem);
+    return boot_verifier.run(inputs);
+}
+
+/** The bzImage bootstrap loader under its sim phase's wall span. */
+Result<guest::LoadedKernel>
+runLoaderStage(memory::GuestMemory &mem, Gpa bzimage_gpa, u64 size,
+               const guest::KaslrConfig &kaslr = {})
+{
+    SEVF_SPAN(kBootstrapLoader);
+    return guest::runBootstrapLoader(mem, bzimage_gpa, size, true, kaslr);
 }
 
 /**
@@ -342,9 +381,7 @@ class SeveriFastStrategy final : public BootStrategy
         // charge the in-VMM hashing the paper eliminates.
         verifier::BootHashes hashes;
         if (bzimage_) {
-            hashes = verifier::BootHashes::compute(kernel_image,
-                                                   staged_initrd,
-                                                   std::nullopt);
+            hashes.kernel = componentDigest(kernel_image, art.bzimage);
         } else {
             Result<crypto::Sha256Digest> kd =
                 verifier::vmlinuxStreamDigest(kernel_image);
@@ -352,10 +389,10 @@ class SeveriFastStrategy final : public BootStrategy
                 return kd.status();
             }
             hashes.kernel = *kd;
-            hashes.kernel_size = kernel_image.size();
-            hashes.initrd = crypto::Sha256::digest(staged_initrd);
-            hashes.initrd_size = staged_initrd.size();
         }
+        hashes.kernel_size = kernel_image.size();
+        hashes.initrd = componentDigest(staged_initrd, initrd_raw);
+        hashes.initrd_size = staged_initrd.size();
         if (!request.out_of_band_hashing) {
             tb.cpu(cost.vmmHash(kernel_image.size() + staged_initrd.size()),
                    kVmm, "hash_components_in_vmm");
@@ -392,8 +429,8 @@ class SeveriFastStrategy final : public BootStrategy
             {layout::kInitrdStagingGpa, staged_initrd.size()},
         };
 
-        verifier::BootVerifier boot_verifier(vm.memory());
-        Result<verifier::VerifiedBoot> boot = boot_verifier.run(inputs);
+        Result<verifier::VerifiedBoot> boot =
+            runVerifierStage(vm.memory(), inputs);
         if (!boot.isOk()) {
             return boot.status();
         }
@@ -427,9 +464,8 @@ class SeveriFastStrategy final : public BootStrategy
                                     kHugePageSize)
                         : 0;
             }
-            Result<guest::LoadedKernel> loaded = guest::runBootstrapLoader(
-                vm.memory(), boot->kernel_gpa, boot->kernel_size, true,
-                kaslr);
+            Result<guest::LoadedKernel> loaded = runLoaderStage(
+                vm.memory(), boot->kernel_gpa, boot->kernel_size, kaslr);
             if (!loaded.isOk()) {
                 return loaded.status();
             }
@@ -579,8 +615,8 @@ class QemuOvmfStrategy final : public BootStrategy
             {layout::kInitrdStagingGpa, initrd.size()},
             {layout::kCmdlineStagingGpa, kPageSize},
         };
-        verifier::BootVerifier boot_verifier(vm.memory());
-        Result<verifier::VerifiedBoot> boot = boot_verifier.run(inputs);
+        Result<verifier::VerifiedBoot> boot =
+            runVerifierStage(vm.memory(), inputs);
         if (!boot.isOk()) {
             return boot.status();
         }
@@ -590,8 +626,8 @@ class QemuOvmfStrategy final : public BootStrategy
                kBootVerification, "ovmf_verify_components");
 
         // ---- Bootstrap loader + kernel ----
-        Result<guest::LoadedKernel> loaded = guest::runBootstrapLoader(
-            vm.memory(), boot->kernel_gpa, boot->kernel_size, true);
+        Result<guest::LoadedKernel> loaded =
+            runLoaderStage(vm.memory(), boot->kernel_gpa, boot->kernel_size);
         if (!loaded.isOk()) {
             return loaded.status();
         }
@@ -671,17 +707,18 @@ class SevDirectBootStrategy final : public BootStrategy
                             art.bzimage});
             staged_bytes += art.bzimage.size();
         } else {
-            Result<image::ElfImage> elf = image::parseElf(art.vmlinux);
+            Result<image::ElfView> elf = image::parseElfView(art.vmlinux);
             if (!elf.isOk()) {
                 return elf.status();
             }
             kernel_entry = elf->entry;
             for (std::size_t i = 0; i < elf->segments.size(); ++i) {
-                const image::ElfSegment &seg = elf->segments[i];
+                const image::ElfSegmentView &seg = elf->segments[i];
                 SEVF_RETURN_IF_ERROR(
                     vm.memory().hostWrite(seg.vaddr, seg.data));
                 plan.push_back({"kernel_seg" + std::to_string(i),
-                                seg.vaddr, seg.data});
+                                seg.vaddr,
+                                ByteVec(seg.data.begin(), seg.data.end())});
                 staged_bytes += seg.data.size();
             }
         }
@@ -727,9 +764,8 @@ class SevDirectBootStrategy final : public BootStrategy
         }
 
         if (bzimage) {
-            Result<guest::LoadedKernel> loaded = guest::runBootstrapLoader(
-                vm.memory(), layout::kBzImagePrivateGpa, art.bzimage.size(),
-                true);
+            Result<guest::LoadedKernel> loaded = runLoaderStage(
+                vm.memory(), layout::kBzImagePrivateGpa, art.bzimage.size());
             if (!loaded.isOk()) {
                 return loaded.status();
             }

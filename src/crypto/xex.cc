@@ -1,6 +1,7 @@
 #include "crypto/xex.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 #include "base/bytes.h"
@@ -136,7 +137,8 @@ XexCipher::tweakFor(u64 line_addr) const
 }
 
 void
-XexCipher::encryptRange(u8 *data, u64 len, u64 addr) const
+XexCipher::cryptRange(const u8 *src, u8 *dst, u64 len, u64 addr,
+                      bool enc) const
 {
     Tweak128 t{0, 0};
     u64 next_tweak_addr = ~u64{0};
@@ -149,84 +151,71 @@ XexCipher::encryptRange(u8 *data, u64 len, u64 addr) const
             gfDouble(t);
         }
         next_tweak_addr = line_addr + 16;
-        u8 *block = data + off;
+        // One load and one store per line: in place or out of place,
+        // each byte crosses the buffers once.
+        u8 block[16];
+        std::memcpy(block, src + off, 16);
         xorTweak(block, t);
-        data_cipher_.encryptBlock(block);
-        xorTweak(block, t);
-    }
-}
-
-void
-XexCipher::decryptRange(u8 *data, u64 len, u64 addr) const
-{
-    Tweak128 t{0, 0};
-    u64 next_tweak_addr = ~u64{0};
-    for (u64 off = 0; off < len; off += 16) {
-        u64 line_addr = addr + off;
-        if (line_addr % kPageSize == 0 || line_addr != next_tweak_addr) {
-            AesBlock base = tweakFor(line_addr);
-            t = loadTweak(base.data());
+        if (enc) {
+            data_cipher_.encryptBlock(block);
         } else {
-            gfDouble(t);
+            data_cipher_.decryptBlock(block);
         }
-        next_tweak_addr = line_addr + 16;
-        u8 *block = data + off;
         xorTweak(block, t);
-        data_cipher_.decryptBlock(block);
-        xorTweak(block, t);
+        std::memcpy(dst + off, block, 16);
     }
 }
 
 void
-XexCipher::encrypt(MutByteSpan data, u64 addr) const
+XexCipher::crypt(ByteSpan src, MutByteSpan dst, u64 addr, bool enc) const
 {
-    SEVF_CHECK(data.size() % 16 == 0);
+    SEVF_CHECK(src.size() == dst.size());
+    SEVF_CHECK(src.size() % 16 == 0);
     SEVF_CHECK(addr % 16 == 0);
-    static obs::KernelMetrics &metrics = obs::kernelMetrics("xex_encrypt");
-    obs::KernelTimer timer(metrics, data.size());
-    SEVF_SPAN("xex.encrypt", "bytes", static_cast<u64>(data.size()));
+    // In place or disjoint: with a partial overlap one chunk would read
+    // lines another chunk has already rewritten.
+    auto s = reinterpret_cast<std::uintptr_t>(src.data());
+    auto d = reinterpret_cast<std::uintptr_t>(dst.data());
+    SEVF_CHECK(s == d || s + src.size() <= d || d + dst.size() <= s);
     // Page-parallel bulk path: every 16-byte line's tweak depends only
-    // on its own address, so disjoint page-aligned chunks encrypt
+    // on its own address, so disjoint page-aligned chunks run
     // independently and bit-identically at any host thread count.
     u64 page_base = alignDown(addr, kPageSize);
-    u64 span = addr + data.size() - page_base;
+    u64 span = addr + src.size() - page_base;
     base::parallelFor(
         0, pagesFor(span), kChunkBytes / kPageSize,
         [&](u64 page_lo, u64 page_hi) {
             u64 lo = std::max(addr, page_base + page_lo * kPageSize);
             u64 hi =
-                std::min(addr + data.size(), page_base + page_hi * kPageSize);
+                std::min(addr + src.size(), page_base + page_hi * kPageSize);
             if (lo < hi) {
-                encryptRange(data.data() + (lo - addr), hi - lo, lo);
+                cryptRange(src.data() + (lo - addr),
+                           dst.data() + (lo - addr), hi - lo, lo, enc);
             }
         });
-    // Encryption is a declassification boundary: the buffer now holds
-    // ciphertext, which the host may see. (Plaintext labelling is page
-    // granular and lives in GuestMemory's shadow, not on scratch
-    // buffers, so decrypt() deliberately does not mark.)
-    taint::clearRange(data.data(), data.size());
 }
 
 void
-XexCipher::decrypt(MutByteSpan data, u64 addr) const
+XexCipher::encrypt(ByteSpan src, MutByteSpan dst, u64 addr) const
 {
-    SEVF_CHECK(data.size() % 16 == 0);
-    SEVF_CHECK(addr % 16 == 0);
+    static obs::KernelMetrics &metrics = obs::kernelMetrics("xex_encrypt");
+    obs::KernelTimer timer(metrics, src.size());
+    SEVF_SPAN("xex.encrypt", "bytes", static_cast<u64>(src.size()));
+    crypt(src, dst, addr, true);
+    // Encryption is a declassification boundary: dst now holds
+    // ciphertext, which the host may see. (Plaintext labelling is page
+    // granular and lives in GuestMemory's shadow, not on the buffers
+    // decrypt() fills, so decrypt() deliberately does not mark.)
+    taint::clearRange(dst.data(), dst.size());
+}
+
+void
+XexCipher::decrypt(ByteSpan src, MutByteSpan dst, u64 addr) const
+{
     static obs::KernelMetrics &metrics = obs::kernelMetrics("xex_decrypt");
-    obs::KernelTimer timer(metrics, data.size());
-    SEVF_SPAN("xex.decrypt", "bytes", static_cast<u64>(data.size()));
-    u64 page_base = alignDown(addr, kPageSize);
-    u64 span = addr + data.size() - page_base;
-    base::parallelFor(
-        0, pagesFor(span), kChunkBytes / kPageSize,
-        [&](u64 page_lo, u64 page_hi) {
-            u64 lo = std::max(addr, page_base + page_lo * kPageSize);
-            u64 hi =
-                std::min(addr + data.size(), page_base + page_hi * kPageSize);
-            if (lo < hi) {
-                decryptRange(data.data() + (lo - addr), hi - lo, lo);
-            }
-        });
+    obs::KernelTimer timer(metrics, src.size());
+    SEVF_SPAN("xex.decrypt", "bytes", static_cast<u64>(src.size()));
+    crypt(src, dst, addr, false);
 }
 
 } // namespace sevf::crypto

@@ -32,16 +32,24 @@ class XexCipher
      */
     XexCipher(const Aes128Key &key, const Aes128Key &tweak_key);
 
-    /** Encrypt @p data (multiple of 16 bytes) located at @p addr in place. */
-    void encrypt(MutByteSpan data, u64 addr) const;
+    /**
+     * Encrypt @p src (multiple of 16 bytes) located at @p addr into
+     * @p dst. @p dst is either @p src itself (in place) or a disjoint
+     * buffer of the same size; a partial overlap is a checked error.
+     * Encryption declassifies @p dst: it now holds ciphertext.
+     */
+    void encrypt(ByteSpan src, MutByteSpan dst, u64 addr) const;
 
-    /** Decrypt @p data (multiple of 16 bytes) located at @p addr in place. */
-    void decrypt(MutByteSpan data, u64 addr) const;
+    /** Decrypt @p src into @p dst; same @p src / @p dst contract. */
+    void decrypt(ByteSpan src, MutByteSpan dst, u64 addr) const;
 
   private:
     AesBlock tweakFor(u64 line_addr) const;
-    void encryptRange(u8 *data, u64 len, u64 addr) const;
-    void decryptRange(u8 *data, u64 len, u64 addr) const;
+    /** Contract checks + the page-parallel split shared by both ways. */
+    void crypt(ByteSpan src, MutByteSpan dst, u64 addr, bool enc) const;
+    /** The one serial XEX loop over consecutive lines, either way. */
+    void cryptRange(const u8 *src, u8 *dst, u64 len, u64 addr,
+                    bool enc) const;
 
     Aes128 data_cipher_;
     Aes128 tweak_cipher_;

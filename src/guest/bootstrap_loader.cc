@@ -1,5 +1,7 @@
 #include "guest/bootstrap_loader.h"
 
+#include <algorithm>
+
 #include "base/rng.h"
 #include "base/trust_zones.h"
 #include "image/bzimage.h"
@@ -9,20 +11,35 @@ namespace sevf::guest {
 
 namespace {
 
-/** Place @p elf's PT_LOAD segments into guest memory, slid by @p slide. */
+/**
+ * BSS source: a static zero block, so zeroing a segment's BSS tail
+ * allocates nothing however large the tail is. 256 KiB keeps each
+ * write big enough for the page-parallel encryption to fan out.
+ */
+constexpr u64 kZeroChunk = 256 * kKiB;
+constexpr u8 kZeros[kZeroChunk] = {};
+/** XEX line: BSS chunks after the first end on line boundaries. */
+constexpr u64 kLine = 16;
+
+/**
+ * Place @p elf's PT_LOAD segments into guest memory, slid by @p slide,
+ * straight from the file bytes the segments view.
+ */
 Result<u64>
-placeSegments(memory::GuestMemory &mem, const image::ElfImage &elf,
+placeSegments(memory::GuestMemory &mem, const image::ElfView &elf,
               bool c_bit, u64 slide = 0)
 {
     u64 loaded = 0;
-    for (const image::ElfSegment &seg : elf.segments) {
+    for (const image::ElfSegmentView &seg : elf.segments) {
         Gpa dest = seg.vaddr + slide;
         SEVF_RETURN_IF_ERROR(mem.guestWrite(dest, seg.data, c_bit));
         loaded += seg.data.size();
-        if (seg.memsz > seg.data.size()) {
-            ByteVec zeros(seg.memsz - seg.data.size(), 0);
+        for (u64 off = seg.data.size(); off < seg.memsz;) {
+            u64 n = std::min(seg.memsz - off,
+                             kZeroChunk - (dest + off) % kLine);
             SEVF_RETURN_IF_ERROR(
-                mem.guestWrite(dest + seg.data.size(), zeros, c_bit));
+                mem.guestWrite(dest + off, ByteSpan(kZeros, n), c_bit));
+            off += n;
         }
     }
     return loaded;
@@ -51,7 +68,7 @@ runBootstrapLoader(memory::GuestMemory &mem, Gpa bzimage_gpa, u64 size,
 
     SEVF_ASSIGN_OR_RETURN(image::BzImageInfo info, image::parseBzImage(file));
     SEVF_ASSIGN_OR_RETURN(ByteVec vmlinux, image::extractVmlinux(file));
-    SEVF_ASSIGN_OR_RETURN(image::ElfImage elf, image::parseElf(vmlinux));
+    SEVF_ASSIGN_OR_RETURN(image::ElfView elf, image::parseElfView(vmlinux));
     u64 slide = pickSlide(kaslr);
     SEVF_ASSIGN_OR_RETURN(u64 loaded, placeSegments(mem, elf, c_bit, slide));
 
@@ -70,7 +87,7 @@ loadVmlinuxAt(memory::GuestMemory &mem, Gpa vmlinux_gpa, u64 size,
 {
     SEVF_ASSIGN_OR_RETURN(ByteVec file,
                           mem.guestRead(vmlinux_gpa, size, c_bit));
-    SEVF_ASSIGN_OR_RETURN(image::ElfImage elf, image::parseElf(file));
+    SEVF_ASSIGN_OR_RETURN(image::ElfView elf, image::parseElfView(file));
     SEVF_ASSIGN_OR_RETURN(u64 loaded, placeSegments(mem, elf, c_bit));
     LoadedKernel out;
     out.entry = elf.entry;

@@ -147,39 +147,49 @@ parseElfPhdr(ByteSpan phdr) SEVF_UNTRUSTED_INPUT
     return p;
 }
 
-Result<ElfImage>
-parseElf(ByteSpan file) SEVF_UNTRUSTED_INPUT
+Result<ElfView>
+parseElfView(ByteSpan file) SEVF_UNTRUSTED_INPUT
 {
     SEVF_ASSIGN_OR_RETURN(ElfLayout layout, parseElfHeader(file));
-    if (layout.phoff + static_cast<u64>(layout.phnum) * kPhdrSize >
-        file.size()) {
+    u64 phdr_bytes = static_cast<u64>(layout.phnum) * kPhdrSize;
+    if (layout.phoff > file.size() ||
+        phdr_bytes > file.size() - layout.phoff) {
         return errCorrupted("elf: phdr table past end of file");
     }
 
-    ElfImage image;
-    image.entry = layout.entry;
+    ElfView view;
+    view.entry = layout.entry;
     for (u16 i = 0; i < layout.phnum; ++i) {
         SEVF_ASSIGN_OR_RETURN(
             ElfPhdr p, parseElfPhdr(file.subspan(layout.phoff + i * kPhdrSize)));
         if (p.type != kPtLoad) {
             continue;
         }
-        if (p.offset + p.filesz > file.size()) {
+        if (p.offset > file.size() || p.filesz > file.size() - p.offset) {
             return errCorrupted("elf: segment data past end of file");
         }
         if (p.memsz < p.filesz) {
             return errCorrupted("elf: memsz smaller than filesz");
         }
-        ElfSegment seg;
-        seg.vaddr = p.vaddr;
-        seg.flags = p.flags;
-        seg.memsz = p.memsz;
-        seg.data.assign(file.begin() + p.offset,
-                        file.begin() + p.offset + p.filesz);
-        image.segments.push_back(std::move(seg));
+        view.segments.push_back(ElfSegmentView{
+            p.vaddr, p.flags, p.memsz, file.subspan(p.offset, p.filesz)});
     }
-    if (image.segments.empty()) {
+    if (view.segments.empty()) {
         return errCorrupted("elf: no PT_LOAD segments");
+    }
+    return view;
+}
+
+Result<ElfImage>
+parseElf(ByteSpan file) SEVF_UNTRUSTED_INPUT
+{
+    SEVF_ASSIGN_OR_RETURN(ElfView view, parseElfView(file));
+    ElfImage image;
+    image.entry = view.entry;
+    for (const ElfSegmentView &seg : view.segments) {
+        image.segments.push_back(ElfSegment{
+            seg.vaddr, seg.flags, seg.memsz,
+            ByteVec(seg.data.begin(), seg.data.end())});
     }
     return image;
 }

@@ -48,10 +48,30 @@ inline constexpr std::size_t kPhdrSize = 56;
 /** Serialize to ELF64 bytes (header + phdrs + segment data). */
 ByteVec writeElf(const ElfImage &image);
 
+/** One PT_LOAD segment as a window into the file it was parsed from. */
+struct ElfSegmentView {
+    u64 vaddr = 0;    //!< load address (physical == virtual for vmlinux)
+    u32 flags = kPfR; //!< PF_R/W/X
+    u64 memsz = 0;    //!< in-memory size (>= data.size(); excess is BSS)
+    ByteSpan data;    //!< the segment's file bytes
+};
+
+/** Entry point and PT_LOAD segments of an ELF file, copying nothing. */
+struct ElfView {
+    u64 entry = 0;
+    std::vector<ElfSegmentView> segments;
+};
+
 /**
- * Parse an ELF64 vmlinux. Validates magic, class (64-bit LE), machine
- * (EM_X86_64) and program-header geometry; collects PT_LOAD segments.
+ * The one validated program-header walk over an ELF64 vmlinux.
+ * Validates magic, class (64-bit LE), machine (EM_X86_64), the phdr
+ * table and every PT_LOAD's file range. The segments view @p file,
+ * which must outlive the result: loaders place them straight into
+ * guest memory without an intermediate copy.
  */
+Result<ElfView> parseElfView(ByteSpan file);
+
+/** parseElfView, with each segment copied into an owning ElfImage. */
 Result<ElfImage> parseElf(ByteSpan file);
 
 /**

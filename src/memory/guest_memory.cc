@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "base/logging.h"
 #include "base/parallel.h"
@@ -100,7 +101,8 @@ GuestMemory::materializePage(u64 page) const
         // Per-VM ciphertext: the cached plaintext meets this VM's key
         // and SPA tweak only here, at first touch.
         SEVF_CHECK(engine_ != nullptr);
-        engine_->encrypt(MutByteSpan(dst, kPageSize),
+        engine_->encrypt(ByteSpan(dst, kPageSize),
+                         MutByteSpan(dst, kPageSize),
                          spa_base_ + page * kPageSize);
     }
     // Plain counter, not an obs metric: this runs on TCB-reachable read
@@ -384,30 +386,31 @@ GuestMemory::guestWrite(Gpa gpa, ByteSpan data, bool c_bit)
     // indistinguishable ciphertext.
     joinPageLabels(gpa, data.size(), taint::query(data) | taint::kGuestData);
 
-    // Read-modify-write at encryption-line granularity, but only the
-    // boundary lines need decrypting - fully overwritten lines are
-    // encrypted straight through (the common bulk-copy path).
-    Gpa line_start = alignDown(gpa, kLine);
-    Gpa line_end = alignUp(gpa + data.size(), kLine);
-    ByteVec scratch(bytes_.begin() + line_start, bytes_.begin() + line_end);
-
-    Gpa last_line = line_end - kLine;
-    bool first_partial =
-        gpa != line_start ||
-        (last_line == line_start && gpa + data.size() != line_end);
-    if (first_partial) {
-        engine_->decrypt(MutByteSpan(scratch.data(), kLine),
-                         spa_base_ + line_start);
+    // Whole 16-byte lines are encrypted straight from the caller's bytes
+    // into DRAM. A partial line at either end is read-modify-write
+    // through a one-line stack buffer, so DRAM never holds C-bit
+    // plaintext.
+    Gpa end = gpa + data.size();
+    Gpa body_lo = std::min(alignUp(gpa, kLine), end);
+    Gpa body_hi = std::max(alignDown(end, kLine), body_lo);
+    if (body_hi > body_lo) {
+        engine_->encrypt(
+            data.subspan(body_lo - gpa, body_hi - body_lo),
+            MutByteSpan(bytes_.data() + body_lo, body_hi - body_lo),
+            spa_base_ + body_lo);
     }
-    if (gpa + data.size() != line_end && last_line != line_start) {
-        engine_->decrypt(
-            MutByteSpan(scratch.data() + (last_line - line_start), kLine),
-            spa_base_ + last_line);
+    const std::pair<Gpa, Gpa> partial[] = {{gpa, body_lo}, {body_hi, end}};
+    for (const auto &[lo, hi] : partial) {
+        if (lo == hi) {
+            continue;
+        }
+        Gpa line = alignDown(lo, kLine);
+        MutByteSpan cell(bytes_.data() + line, kLine);
+        u8 buf[kLine];
+        engine_->decrypt(cell, MutByteSpan(buf, kLine), spa_base_ + line);
+        std::memcpy(buf + (lo - line), data.data() + (lo - gpa), hi - lo);
+        engine_->encrypt(ByteSpan(buf, kLine), cell, spa_base_ + line);
     }
-    std::copy(data.begin(), data.end(),
-              scratch.begin() + (gpa - line_start));
-    engine_->encrypt(scratch, spa_base_ + line_start);
-    std::copy(scratch.begin(), scratch.end(), bytes_.begin() + line_start);
     return Status::ok();
 }
 
@@ -424,12 +427,15 @@ GuestMemory::guestRead(Gpa gpa, u64 len, bool c_bit) const
     }
     SEVF_RETURN_IF_ERROR(checkGuestRange(gpa, len));
 
+    // Decrypt the covering lines straight from DRAM into the returned
+    // vector, then trim it to [gpa, gpa+len): the trim moves bytes only
+    // for a read that starts mid-line.
     Gpa line_start = alignDown(gpa, kLine);
-    Gpa line_end = alignUp(gpa + len, kLine);
-    ByteVec scratch(bytes_.begin() + line_start, bytes_.begin() + line_end);
-    engine_->decrypt(scratch, spa_base_ + line_start);
-    ByteVec out(scratch.begin() + (gpa - line_start),
-                scratch.begin() + (gpa - line_start) + len);
+    ByteVec out(alignUp(gpa + len, kLine) - line_start);
+    engine_->decrypt(ByteSpan(bytes_.data() + line_start, out.size()), out,
+                     spa_base_ + line_start);
+    out.erase(out.begin(), out.begin() + (gpa - line_start));
+    out.resize(len);
     // Decrypted plaintext inherits the secret tags of its pages. Plain
     // kGuestData (measured kernel/initrd content) stays unmarked so the
     // hot verifier read path does not scatter labels over short-lived
@@ -467,7 +473,7 @@ GuestMemory::pspEncryptInPlace(Gpa gpa, u64 len)
     // byte-range labels (the DRAM now holds public ciphertext).
     joinPageLabels(gpa, whole, taint::kGuestData);
     MutByteSpan region(bytes_.data() + gpa, whole);
-    engine_->encrypt(region, spa_base_ + gpa);
+    engine_->encrypt(region, region, spa_base_ + gpa);
     if (integrityEnforced()) {
         for (Gpa page = gpa; page < gpa + whole; page += kPageSize) {
             SEVF_RETURN_IF_ERROR(

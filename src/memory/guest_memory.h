@@ -128,7 +128,9 @@ class GuestMemory
     /**
      * Guest write. With @p c_bit set on an SEV guest, data is encrypted
      * with the address tweak on its way to memory and the RMP must show
-     * the page assigned+validated (else #VC).
+     * the page assigned+validated (else #VC). Encryption reads the
+     * caller's bytes and writes DRAM directly, so DRAM never holds the
+     * plaintext, not even for a partial 16-byte line.
      */
     Status guestWrite(Gpa gpa, ByteSpan data, bool c_bit);
 

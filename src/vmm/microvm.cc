@@ -50,14 +50,14 @@ MicroVm::stageBootStructs(Gpa initrd_gpa, u64 initrd_size, u64 kernel_entry)
 Result<DirectBootLoad>
 MicroVm::directBoot(ByteSpan vmlinux, ByteSpan initrd)
 {
-    Result<image::ElfImage> elf = image::parseElf(vmlinux);
+    Result<image::ElfView> elf = image::parseElfView(vmlinux);
     if (!elf.isOk()) {
         return elf.status();
     }
 
     DirectBootLoad out;
     // 1. Load each ELF segment to the location it will run.
-    for (const image::ElfSegment &seg : elf->segments) {
+    for (const image::ElfSegmentView &seg : elf->segments) {
         SEVF_RETURN_IF_ERROR(memory_->hostWrite(seg.vaddr, seg.data));
         out.kernel_file_bytes += seg.data.size();
         if (seg.memsz > seg.data.size()) {

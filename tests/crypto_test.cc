@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "base/bytes.h"
+#include "base/parallel.h"
 #include "base/rng.h"
 #include "crypto/aes128.h"
 #include "crypto/hmac.h"
@@ -206,9 +208,9 @@ TEST_F(XexTest, RoundTrip)
     ByteVec data(4096);
     rng_.fill(data);
     ByteVec orig = data;
-    xex.encrypt(data, 0x100000);
+    xex.encrypt(data, data, 0x100000);
     EXPECT_NE(data, orig);
-    xex.decrypt(data, 0x100000);
+    xex.decrypt(data, data, 0x100000);
     EXPECT_EQ(data, orig);
 }
 
@@ -218,8 +220,8 @@ TEST_F(XexTest, SamePlaintextDifferentAddressDiffers)
     // at different physical addresses have different ciphertext.
     XexCipher xex(key_, tweak_);
     ByteVec a(4096, 0x41), b(4096, 0x41);
-    xex.encrypt(a, 0x1000);
-    xex.encrypt(b, 0x2000);
+    xex.encrypt(a, a, 0x1000);
+    xex.encrypt(b, b, 0x2000);
     EXPECT_NE(a, b);
 }
 
@@ -229,8 +231,8 @@ TEST_F(XexTest, WrongAddressFailsToDecrypt)
     ByteVec data(64);
     rng_.fill(data);
     ByteVec orig = data;
-    xex.encrypt(data, 0x1000);
-    xex.decrypt(data, 0x2000); // remapped by a malicious host
+    xex.encrypt(data, data, 0x1000);
+    xex.decrypt(data, data, 0x2000); // remapped by a malicious host
     EXPECT_NE(data, orig);
 }
 
@@ -244,10 +246,10 @@ TEST_F(XexTest, LineEncryptMatchesPageEncrypt)
     ByteVec page(4096);
     rng_.fill(page);
     ByteVec whole = page;
-    xex.encrypt(whole, 0x7000);
+    xex.encrypt(whole, whole, 0x7000);
     for (u64 off : {u64{0}, u64{16}, u64{2032}, u64{4080}}) {
         ByteVec line(page.begin() + off, page.begin() + off + 16);
-        xex.encrypt(line, 0x7000 + off);
+        xex.encrypt(line, line, 0x7000 + off);
         EXPECT_TRUE(std::equal(line.begin(), line.end(),
                                whole.begin() + off))
             << "line at offset " << off;
@@ -262,11 +264,11 @@ TEST_F(XexTest, UnalignedRangeMatchesPageSlice)
     ByteVec page(8192);
     rng_.fill(page);
     ByteVec whole = page;
-    xex.encrypt(whole, 0x30000);
+    xex.encrypt(whole, whole, 0x30000);
     constexpr u64 kOff = 3000 / 16 * 16; // line-aligned mid-page entry
     constexpr u64 kLen = 4096;           // crosses the page boundary
     ByteVec range(page.begin() + kOff, page.begin() + kOff + kLen);
-    xex.encrypt(range, 0x30000 + kOff);
+    xex.encrypt(range, range, 0x30000 + kOff);
     EXPECT_TRUE(
         std::equal(range.begin(), range.end(), whole.begin() + kOff));
 }
@@ -280,9 +282,62 @@ TEST_F(XexTest, WrongKeyFailsToDecrypt)
     ByteVec data(64);
     rng_.fill(data);
     ByteVec orig = data;
-    xex.encrypt(data, 0x1000);
-    other.decrypt(data, 0x1000);
+    xex.encrypt(data, data, 0x1000);
+    other.decrypt(data, data, 0x1000);
     EXPECT_NE(data, orig);
+}
+
+TEST_F(XexTest, OutOfPlaceMatchesInPlaceAtEveryThreadCount)
+{
+    // Encrypting from a source buffer into a separate destination (how
+    // guestWrite fills DRAM) must yield exactly the in-place ciphertext,
+    // for ranges entering and leaving mid-page, at any thread count.
+    XexCipher xex(key_, tweak_);
+    ByteVec plain(40 * kPageSize);
+    rng_.fill(plain);
+    constexpr u64 kBase = 0x500000;
+    // (offset, length) pairs, line aligned but not page aligned.
+    const std::pair<u64, u64> ranges[] = {
+        {16, 32},
+        {2032, 4096},
+        {4080, 16},
+        {48, 17 * kPageSize + 4000},
+        {kPageSize - 16, 39 * kPageSize},
+    };
+    for (unsigned threads : {1u, 2u, 8u}) {
+        base::ScopedHostThreads scope(threads);
+        for (const auto &[off, len] : ranges) {
+            ByteSpan src(plain.data() + off, len);
+            ByteVec in_place(src.begin(), src.end());
+            xex.encrypt(in_place, in_place, kBase + off);
+            ByteVec out(len);
+            xex.encrypt(src, out, kBase + off);
+            EXPECT_EQ(out, in_place)
+                << "threads=" << threads << " off=" << off;
+            ByteVec back(len);
+            xex.decrypt(out, back, kBase + off);
+            EXPECT_TRUE(std::equal(back.begin(), back.end(), src.begin()))
+                << "threads=" << threads << " off=" << off;
+        }
+    }
+}
+
+using XexDeathTest = XexTest;
+
+TEST_F(XexDeathTest, PartialOverlapIsACheckedError)
+{
+    // src and dst must be the same buffer or disjoint: with a partial
+    // overlap the page-parallel chunks would read rewritten lines.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    XexCipher xex(key_, tweak_);
+    ByteVec buf(4 * kPageSize);
+    constexpr u64 kLen = 2 * kPageSize;
+    EXPECT_DEATH(xex.encrypt(ByteSpan(buf.data(), kLen),
+                             MutByteSpan(buf.data() + 16, kLen), 0x1000),
+                 "check failed");
+    EXPECT_DEATH(xex.decrypt(ByteSpan(buf.data() + kPageSize, kLen),
+                             MutByteSpan(buf.data(), kLen), 0x1000),
+                 "check failed");
 }
 
 // ------------------------------------------------------ launch digest

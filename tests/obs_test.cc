@@ -361,12 +361,14 @@ TEST_F(ObsTest, EveryStrategyProducesAFaithfulSpanTree)
         // every BootStrategy::launch opens.
         std::set<u64> ids;
         std::size_t roots = 0;
+        u64 launch_id = 0;
         for (const TraceEvent &e : events) {
             if (e.kind == TraceEventKind::kWallSpan) {
                 ids.insert(e.id);
                 if (e.parent == 0) {
                     EXPECT_EQ(e.name, "launch");
                     ++roots;
+                    launch_id = e.id;
                 }
             }
         }
@@ -376,6 +378,20 @@ TEST_F(ObsTest, EveryStrategyProducesAFaithfulSpanTree)
                 EXPECT_TRUE(ids.contains(e.parent))
                     << e.name << " has a dangling parent";
             }
+        }
+
+        // The two in-guest stages are wall spans named after their sim
+        // phases, directly under the launch root.
+        if (kind == core::StrategyKind::kSeveriFastBz) {
+            std::set<std::string> children;
+            for (const TraceEvent &e : events) {
+                if (e.kind == TraceEventKind::kWallSpan &&
+                    e.parent == launch_id) {
+                    children.insert(e.name);
+                }
+            }
+            EXPECT_TRUE(children.contains(sim::phase::kBootVerification));
+            EXPECT_TRUE(children.contains(sim::phase::kBootstrapLoader));
         }
 
         // Sim steps replay the launch's phase order exactly, and cover

@@ -1,19 +1,24 @@
 /**
  * @file
  * Tests for the host-parallel execution layer (base/parallel.h) and the
- * property the whole PR hangs on: parallelism is bit-for-bit invisible.
- * Every strategy must produce the same launch measurement, attestation
- * outcome, and simulated trace totals at every host_threads value.
+ * property the launch pipeline hangs on: parallelism is bit-for-bit
+ * invisible. Every strategy must produce the same launch measurement,
+ * guest DRAM, attestation outcome, and simulated trace totals at every
+ * host_threads value — and the same bytes as the golden table below.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "base/bytes.h"
 #include "base/parallel.h"
 #include "core/launch.h"
+#include "crypto/sha256.h"
+#include "vmm/microvm.h"
 #include "workload/synthetic.h"
 
 namespace sevf {
@@ -131,28 +136,82 @@ TEST(ParallelForFree, NestedCallDegradesToSerial)
 
 // ---- Serial-vs-parallel launch equivalence -------------------------------
 
-class ParallelEquivalenceTest
-    : public ::testing::TestWithParam<core::StrategyKind>
+std::string
+hexDigest(const crypto::Sha256Digest &d)
+{
+    return toHex(ByteSpan(d.data(), d.size()));
+}
+
+/**
+ * SHA-256 over the booted guest's whole DRAM. The launch measurement
+ * covers only the pre-encrypted pages; this also pins every byte the
+ * boot verifier, the bootstrap loader and the attestation client wrote
+ * (ciphertext under the guest's key, so the encryption itself is
+ * pinned too).
+ */
+std::string
+dramDigest(const core::LaunchResult &r)
+{
+    return hexDigest(crypto::Sha256::digest(r.vm->memory().raw()));
+}
+
+/**
+ * Golden bytes of the default request at scale 1/32 on a deterministic
+ * platform. Host-side optimisations of the launch data path must
+ * reproduce them exactly; only a deliberate change to what a launch
+ * writes may re-record them.
+ */
+struct GoldenBytes {
+    core::StrategyKind kind;
+    const char *measurement;
+    const char *dram;
+};
+
+constexpr GoldenBytes kGolden[] = {
+    // Non-SEV: nothing is measured.
+    {core::StrategyKind::kStockFirecracker,
+     "0000000000000000000000000000000000000000000000000000000000000000",
+     "37e2c86273f5f4c8c914cbae6cb799e2fe50d61776dcf6f8ca63b4a0ab05a2b0"},
+    {core::StrategyKind::kQemuOvmfSev,
+     "35cf2393dc574bccfd03702aed1f7d512ac9c08ae1433f1eebd7da9ab5b64ed1",
+     "6727be42ab32334b5661b8213a695577aec3f822b417f0d490a556426a612bca"},
+    {core::StrategyKind::kSevDirectBoot,
+     "b55de90b2df1f239c29fc355e2f8f88b0894bbb2337d9cf03340a9a680ddfa5a",
+     "438b8dc97bf46bc33eff85a19bae40d9bea0515aa8f794292d3c00bacc326693"},
+    {core::StrategyKind::kSeveriFastBz,
+     "67f5b672a318ef00efaddfb7db308bf89b223886a456dc1897e885ca29737294",
+     "2cb68889779bce4c24b5a4ff4894cb58db482cfc3ac4f986145e6a367e431994"},
+    {core::StrategyKind::kSeveriFastVmlinux,
+     "71e0b1b59094778466decb4f24d916579f499b39f110fc0e8239a37e867074ba",
+     "072a53f8836087965e03a35dbbfa72afad93ba84254d272f602d0f8a055720bf"},
+};
+
+class ParallelEquivalenceTest : public ::testing::TestWithParam<GoldenBytes>
 {
 };
 
 TEST_P(ParallelEquivalenceTest, ResultsIdenticalAtEveryThreadCount)
 {
+    const GoldenBytes &golden = GetParam();
     core::LaunchRequest request;
     request.scale = 1.0 / 32.0;
+    request.keep_vm = true;
 
     // Reference: fully serial launch.
     request.host_threads = 1;
     core::Platform serial_platform(sim::CostParams::deterministic());
     Result<core::LaunchResult> serial =
-        core::makeStrategy(GetParam())->launch(serial_platform, request);
+        core::makeStrategy(golden.kind)->launch(serial_platform, request);
     ASSERT_TRUE(serial.isOk()) << serial.status().toString();
+    const std::string serial_dram = dramDigest(*serial);
+    EXPECT_EQ(hexDigest(serial->measurement), golden.measurement);
+    EXPECT_EQ(serial_dram, golden.dram);
 
     for (unsigned threads : {2u, 8u}) {
         request.host_threads = threads;
         core::Platform platform(sim::CostParams::deterministic());
         Result<core::LaunchResult> parallel =
-            core::makeStrategy(GetParam())->launch(platform, request);
+            core::makeStrategy(golden.kind)->launch(platform, request);
         ASSERT_TRUE(parallel.isOk())
             << "host_threads=" << threads << ": "
             << parallel.status().toString();
@@ -161,6 +220,8 @@ TEST_P(ParallelEquivalenceTest, ResultsIdenticalAtEveryThreadCount)
         // SHA-256 over every measured page in order.
         EXPECT_EQ(parallel->measurement, serial->measurement)
             << "measurement differs at host_threads=" << threads;
+        EXPECT_EQ(dramDigest(*parallel), serial_dram)
+            << "guest DRAM differs at host_threads=" << threads;
         EXPECT_EQ(parallel->attested, serial->attested);
         EXPECT_EQ(parallel->provisioned_secret_bytes,
                   serial->provisioned_secret_bytes);
@@ -176,14 +237,9 @@ TEST_P(ParallelEquivalenceTest, ResultsIdenticalAtEveryThreadCount)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllStrategies, ParallelEquivalenceTest,
-    ::testing::Values(core::StrategyKind::kStockFirecracker,
-                      core::StrategyKind::kQemuOvmfSev,
-                      core::StrategyKind::kSevDirectBoot,
-                      core::StrategyKind::kSeveriFastBz,
-                      core::StrategyKind::kSeveriFastVmlinux),
-    [](const ::testing::TestParamInfo<core::StrategyKind> &info) {
-        std::string name = core::strategyName(info.param);
+    AllStrategies, ParallelEquivalenceTest, ::testing::ValuesIn(kGolden),
+    [](const ::testing::TestParamInfo<GoldenBytes> &info) {
+        std::string name = core::strategyName(info.param.kind);
         for (char &c : name) {
             if (c == '-') {
                 c = '_';

@@ -79,9 +79,13 @@ class MemoryShadowFuzz : public ::testing::TestWithParam<u64>
 
 TEST_P(MemoryShadowFuzz, EncryptedMemoryMatchesPlainShadow)
 {
-    // Apply a random sequence of guest writes at arbitrary (unaligned)
-    // offsets/lengths to C-bit memory and to a plain shadow buffer;
-    // the guest's decrypted view must equal the shadow at every probe.
+    // Apply a random sequence of guest writes to C-bit memory and to a
+    // plain shadow buffer; the guest's decrypted view must equal the
+    // shadow at every probe, and DRAM must hold exactly the shadow's
+    // ciphertext at the end. The write mix hits every guestWrite path:
+    // short writes inside one line or straddling a line boundary
+    // (partial-line read-modify-write), line-aligned writes (straight
+    // through), and arbitrary unaligned ones (both).
     Rng rng(GetParam() ^ 0x5ade);
     constexpr u64 kRegion = 64 * kPageSize;
     memory::GuestMemory mem(kRegion, kSpaBase, 5);
@@ -101,8 +105,27 @@ TEST_P(MemoryShadowFuzz, EncryptedMemoryMatchesPlainShadow)
     ASSERT_TRUE(mem.guestWrite(0, shadow, true).isOk());
 
     for (int op = 0; op < 200; ++op) {
-        u64 off = rng.nextBelow(kRegion - 1);
-        u64 len = 1 + rng.nextBelow(std::min<u64>(kRegion - off, 9000));
+        u64 off = 0;
+        u64 len = 0;
+        switch (op % 4) {
+          case 0:
+            // 1..16 bytes from anywhere in a line: about half of these
+            // straddle into the next line.
+            off = rng.nextBelow(kRegion / 16 - 1) * 16 + rng.nextBelow(16);
+            len = 1 + rng.nextBelow(16);
+            break;
+          case 1: {
+            // Line-aligned offset and length: no partial line at all.
+            off = rng.nextBelow(kRegion / 16) * 16;
+            u64 lines = std::min<u64>((kRegion - off) / 16, 9000 / 16);
+            len = 16 * (1 + rng.nextBelow(lines));
+            break;
+          }
+          default:
+            off = rng.nextBelow(kRegion - 1);
+            len = 1 + rng.nextBelow(std::min<u64>(kRegion - off, 9000));
+            break;
+        }
         ByteVec chunk(len);
         rng.fill(chunk);
         ASSERT_TRUE(mem.guestWrite(off, chunk, true).isOk());
@@ -121,8 +144,14 @@ TEST_P(MemoryShadowFuzz, EncryptedMemoryMatchesPlainShadow)
 
     // Full sweep at the end.
     EXPECT_EQ(*mem.guestRead(0, kRegion, true), shadow);
-    // And the host never saw the plaintext.
-    EXPECT_NE(*mem.hostRead(0, kRegion), shadow);
+    // The ciphertext itself, not just the round trip: DRAM holds an
+    // independent XEX encryption of the shadow at the VM's SPA (which
+    // also means the host never sees the plaintext).
+    crypto::XexCipher reference(key, tweak);
+    ByteVec expected(kRegion);
+    reference.encrypt(shadow, expected, kSpaBase);
+    EXPECT_EQ(*mem.hostRead(0, kRegion), expected);
+    EXPECT_NE(expected, shadow);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MemoryShadowFuzz,

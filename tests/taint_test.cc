@@ -237,7 +237,7 @@ TEST_F(TaintTest, EncryptionDeclassifiesBuffers)
     crypto::XexCipher cipher(key, tweak);
     ByteVec data(32, 0xee);
     taint::mark(data.data(), data.size(), taint::kLaunchSecret);
-    cipher.encrypt(data, /*spa=*/0);
+    cipher.encrypt(data, data, /*spa=*/0);
     // Ciphertext is public by cryptographic assumption.
     EXPECT_EQ(taint::query(data.data(), data.size()), taint::kNone);
 }

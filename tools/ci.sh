@@ -5,9 +5,9 @@
 # over the entire suite — plus the project linter (including its
 # guarded-by / lock-order / interprocedural secret-flow passes), a
 # clang -Wthread-safety build when clang is installed, the
-# launch-protocol model checker, and the wall-clock perf harness, each
-# configuration in its own build tree so they never clobber one
-# another.
+# launch-protocol model checker, the wall-clock perf harness, and the
+# self-test of the perfbench benchmark, each configuration in its own
+# build tree so they never clobber one another.
 #
 #   tools/ci.sh            # run everything
 #   CI_JOBS=4 tools/ci.sh  # cap build/test parallelism
@@ -150,6 +150,15 @@ echo "==> [bench] concurrent admission pipeline"
 echo "==> [bench] service fairness gate"
 (cd "$root" && "$root/build-ci-werror/bench/bench_service_fairness" \
     "$root/BENCH_wallclock.json")
+
+# 7b. Benchmark self-test: perfbench/run.py, the harness perf changes
+#     are judged by, must print exactly the metric names and units of
+#     BENCHMARK.json for every workload (untraced and traced) with no
+#     failed launch, and a run with a corrupted reference digest must
+#     fail its correctness gate. Builds into its own tree.
+echo "==> [perfbench] python3 perfbench/selftest.py"
+(cd "$root" && \
+    CARGO_TARGET_DIR="$root/build-ci-perfbench" python3 perfbench/selftest.py)
 
 # 8. Observability: boot one SEV-SNP launch with tracing + metrics on,
 #    then validate both exports with sevf_obscheck — Chrome-trace
@@ -294,5 +303,5 @@ for doc in RELIABILITY.md ARCHITECTURE.md; do
 done
 
 echo "==> CI green: hygiene + werror + asan,ubsan + taint-enforce + tsan" \
-     "+ lint + tcb + thread-safety + model + bench + obs + cache" \
-     "+ service + chaos + docs"
+     "+ lint + tcb + thread-safety + model + bench + perfbench + obs" \
+     "+ cache + service + chaos + docs"
