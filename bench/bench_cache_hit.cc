@@ -10,40 +10,21 @@
  * boot time, same step count — or the bench aborts: a cache that
  * changes what the guest owner attests is not a cache, it is a bug.
  *
- * Results merge into BENCH_wallclock.json under cache.hit_miss
- * (bench_wallclock owns the rest of the file).
+ * The per-strategy record lands in bench_data/bench_cache_hit.json.
  */
-#include <memory>
 #include <string>
-#include <vector>
 
+#include "base/bytes.h"
+#include "base/json.h"
 #include "base/parallel.h"
 #include "bench/common.h"
 
 using namespace sevf;
 
-namespace {
-
-std::string
-hexDigest(const crypto::Sha256Digest &d)
-{
-    static const char *kHex = "0123456789abcdef";
-    std::string out;
-    for (u8 b : d) {
-        out += kHex[b >> 4];
-        out += kHex[b & 0xf];
-    }
-    return out;
-}
-
-} // namespace
-
 int
-main(int argc, char **argv)
+main()
 {
     bench::ObsSession obs_session; // SEVF_TRACE_OUT/SEVF_METRICS_OUT
-    const std::string out_path =
-        argc > 1 ? argv[1] : "BENCH_wallclock.json";
 
     bench::banner("cache", "launch-template hit vs cold (scale 0.25)");
 
@@ -51,7 +32,9 @@ main(int argc, char **argv)
     request.scale = 0.25;
     request.host_threads = base::hardwareThreads();
 
-    std::vector<bench::JsonObject> rows;
+    base::JsonWriter json;
+    json.beginObject().key("scale").value(request.scale);
+    json.key("strategies").beginArray();
     stats::Table table(
         {"strategy", "cold", "hit", "speedup", "bit-identical"});
     for (core::StrategyKind kind : {
@@ -107,22 +90,21 @@ main(int argc, char **argv)
                       stats::fmtMs(hit_seconds * 1e3), speedup_text,
                       identical ? "yes" : "NO"});
 
-        bench::JsonObject o;
-        o.field("name", core::strategyName(kind))
-            .field("cold_seconds", cold_seconds)
-            .field("hit_seconds", hit_seconds)
-            .field("speedup", speedup)
-            .field("bit_identical", identical)
-            .field("measurement", hexDigest(hit.measurement));
-        rows.push_back(o);
+        json.beginObject();
+        json.key("name").value(core::strategyName(kind));
+        json.key("cold_seconds").value(cold_seconds);
+        json.key("hit_seconds").value(hit_seconds);
+        json.key("speedup").value(speedup);
+        json.key("bit_identical").value(identical);
+        json.key("measurement").value(toHex(hit.measurement));
+        json.endObject();
     }
+    json.endArray().endObject();
     table.print();
     bench::note("hit skips parse/decompress/hash/pre-encrypt; the "
                 "remaining work is CoW instantiation + premeasured "
                 "digest replay, and the measurement stays identical");
 
-    bench::JsonObject section;
-    section.field("scale", 0.25).raw("strategies", bench::jsonArray(rows));
-    bench::patchSection(out_path, "cache", "hit_miss", section.str());
+    bench::writeDataFile("bench_cache_hit.json", json.take() + "\n");
     return 0;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Serving-layer gate: DRR fairness under a skewed tenant mix, recorded
- * under "service.fairness" in BENCH_wallclock.json.
+ * in bench_data/bench_service_fairness.json.
  *
  * A light tenant submits sparse launches against a heavy tenant with
  * 8x its volume already queued in the same LaunchService. The deficit
@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "base/json.h"
 #include "bench/common.h"
 #include "service/launch_service.h"
 #include "workload/synthetic.h"
@@ -63,10 +64,8 @@ timedLaunch(service::LaunchService &svc, const std::string &tenant)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    const std::string out_path =
-        argc > 1 ? argv[1] : "BENCH_wallclock.json";
     bench::ObsSession obs_session; // SEVF_TRACE_OUT/SEVF_METRICS_OUT
 
     bench::banner("Service fairness",
@@ -157,13 +156,15 @@ main(int argc, char **argv)
               "x solo (limit 2x)");
     }
 
-    bench::JsonObject fairness;
-    fairness.field("light_samples", kLightSamples)
-        .field("heavy_backlog", kHeavyBacklog)
-        .field("solo_p50_seconds", solo_p50)
-        .field("mixed_light_p50_seconds", mixed_light_p50)
-        .field("light_p50_vs_solo", fairness_ratio)
-        .field("meets_2x", meets_2x);
-    bench::patchSection(out_path, "service", "fairness", fairness.str());
+    base::JsonWriter json;
+    json.beginObject();
+    json.key("light_samples").value(u64{kLightSamples});
+    json.key("heavy_backlog").value(u64{kHeavyBacklog});
+    json.key("solo_p50_seconds").value(solo_p50);
+    json.key("mixed_light_p50_seconds").value(mixed_light_p50);
+    json.key("light_p50_vs_solo").value(fairness_ratio);
+    json.key("meets_2x").value(meets_2x);
+    json.endObject();
+    bench::writeDataFile("bench_service_fairness.json", json.take() + "\n");
     return 0;
 }

@@ -15,7 +15,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -25,7 +24,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "sim/cost_model.h"
-#include "stats/json.h"
 #include "stats/summary.h"
 #include "stats/table.h"
 
@@ -97,9 +95,9 @@ writeDataFile(const std::string &name, const std::string &contents)
 
 // ---- Wall-clock timing ---------------------------------------------------
 //
-// Most benches here report *virtual* time from the cost model; these
-// helpers are for the benches that measure the real kernels (XEX,
-// SHA-256, LZ4, the parallel launch pipeline) in host wall-clock time.
+// Most benches here report *virtual* time from the cost model; the gate
+// benches that time the real serving path (template cache, admission
+// pipeline, service scheduler) read host wall-clock time from here.
 
 /** Monotonic wall-clock time in seconds. */
 inline double
@@ -111,197 +109,11 @@ wallClock()
 }
 
 /**
- * Run @p fn @p reps times and return the best (minimum) wall-clock
- * duration in seconds — the standard estimator for a quiet machine.
- */
-template <typename Fn>
-inline double
-bestOf(int reps, Fn &&fn)
-{
-    double best = 0;
-    for (int i = 0; i < reps; ++i) {
-        double t0 = wallClock();
-        fn();
-        double dt = wallClock() - t0;
-        if (i == 0 || dt < best) {
-            best = dt;
-        }
-    }
-    return best;
-}
-
-inline double
-mbPerSec(u64 bytes, double seconds)
-{
-    return seconds > 0 ? static_cast<double>(bytes) / (1e6 * seconds) : 0.0;
-}
-
-// ---- JSON emission -------------------------------------------------------
-
-/**
- * Minimal JSON object builder: flat string/number/bool fields plus raw
- * splicing for nested arrays/objects. Enough for bench result files;
- * not a general serializer.
- */
-class JsonObject
-{
-  public:
-    JsonObject &
-    field(std::string_view key, double v)
-    {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.6g", v);
-        return raw(key, buf);
-    }
-
-    JsonObject &
-    field(std::string_view key, u64 v)
-    {
-        return raw(key, std::to_string(v));
-    }
-
-    JsonObject &
-    field(std::string_view key, int v)
-    {
-        return raw(key, std::to_string(v));
-    }
-
-    JsonObject &
-    field(std::string_view key, bool v)
-    {
-        return raw(key, v ? "true" : "false");
-    }
-
-    /** Without this overload a string literal would pick field(bool). */
-    JsonObject &
-    field(std::string_view key, const char *v)
-    {
-        return field(key, std::string_view(v));
-    }
-
-    JsonObject &
-    field(std::string_view key, std::string_view v)
-    {
-        std::string quoted = "\"";
-        for (char c : v) {
-            if (c == '"' || c == '\\') {
-                quoted += '\\';
-            }
-            quoted += c;
-        }
-        quoted += '"';
-        return raw(key, quoted);
-    }
-
-    /** Splice an already-serialized JSON value (array, object). */
-    JsonObject &
-    raw(std::string_view key, std::string_view json)
-    {
-        if (!body_.empty()) {
-            body_ += ", ";
-        }
-        body_ += "\"";
-        body_ += key;
-        body_ += "\": ";
-        body_ += json;
-        return *this;
-    }
-
-    std::string
-    str() const
-    {
-        return "{" + body_ + "}";
-    }
-
-  private:
-    std::string body_;
-};
-
-/** Serialize a list of JsonObject values as a JSON array. */
-inline std::string
-jsonArray(const std::vector<JsonObject> &items)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i > 0) {
-            out += ", ";
-        }
-        out += items[i].str();
-    }
-    out += "]";
-    return out;
-}
-
-/** A {name, bytes, seconds, mb_per_s} throughput record. */
-inline JsonObject
-throughputRecord(std::string_view name, u64 bytes, double seconds)
-{
-    JsonObject o;
-    o.field("name", name)
-        .field("bytes", bytes)
-        .field("seconds", seconds)
-        .field("mb_per_s", mbPerSec(bytes, seconds));
-    return o;
-}
-
-/**
- * Merge one subsection into the @p topkey object of an existing
- * BENCH_wallclock.json (created by bench_wallclock): after the call,
- * root[topkey][subkey] == parse(section_json), every other member
- * untouched. Lets bench_cache_hit, bench_fig12_concurrent, and
- * bench_service_fairness each own their slice of the result file
- * without clobbering the others. Errors are soft (warn + no write) so
- * a missing or hand-edited result file never fails a bench run.
- */
-inline void
-patchSection(const std::string &path, const std::string &topkey,
-             const std::string &subkey, const std::string &section_json)
-{
-    Result<stats::JsonValue> section = stats::parseJson(section_json);
-    if (!section.isOk()) {
-        warn(topkey, " section for ", path,
-             " is not valid JSON: ", section.status().toString());
-        return;
-    }
-    stats::JsonValue::Object root;
-    {
-        std::ifstream in(path);
-        if (in) {
-            std::string text((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-            Result<stats::JsonValue> doc = stats::parseJson(text);
-            if (doc.isOk() && doc->isObject()) {
-                root = doc->asObject();
-            } else {
-                warn(path, " is not a JSON object; starting fresh");
-            }
-        }
-    }
-    stats::JsonValue::Object top;
-    auto it = root.find(topkey);
-    if (it != root.end() && it->second.isObject()) {
-        top = it->second.asObject();
-    }
-    top[subkey] = section.take();
-    root[topkey] = stats::JsonValue::object(std::move(top));
-
-    std::ofstream out(path);
-    if (!out) {
-        warn("could not write ", path);
-        return;
-    }
-    out << stats::dumpJson(stats::JsonValue::object(std::move(root)))
-        << "\n";
-    std::printf("  data: %s (%s.%s)\n", path.c_str(), topkey.c_str(),
-                subkey.c_str());
-}
-
-/**
  * Opt-in observability for any bench binary: set SEVF_TRACE_OUT and/or
  * SEVF_METRICS_OUT in the environment and the run records spans/metrics
  * and writes the export(s) when main() returns. With neither variable
  * set this is inert — obs stays disabled and the bench numbers are the
- * same as without the hook (the <2% disabled-cost contract in
+ * same as without the hook (the disabled-cost contract in
  * docs/OBSERVABILITY.md §costs).
  *
  *   SEVF_TRACE_OUT=fig10.json ./bench_fig10_breakdown_table

@@ -1,14 +1,14 @@
 #include "core/report.h"
 
 #include "base/bytes.h"
-#include "stats/json.h"
+#include "base/json.h"
 
 namespace sevf::core {
 
 std::string
 launchResultToJson(const LaunchResult &result, bool include_steps)
 {
-    stats::JsonWriter json;
+    base::JsonWriter json;
     json.beginObject();
     json.key("strategy").value(strategyName(result.strategy));
     json.key("boot_time_ms").value(result.bootTime().toMsF());

@@ -1,8 +1,8 @@
 #include "obs/export.h"
 
-#include <cstdio>
 #include <fstream>
 
+#include "base/json.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -10,7 +10,7 @@ namespace sevf::obs {
 namespace {
 
 /** Prometheus label-value escaping: the text format escapes only the
- *  quote, the backslash and newline. JSON goes through jsonEscaped(). */
+ *  quote, the backslash and newline. */
 std::string
 escaped(std::string_view s)
 {
@@ -26,14 +26,6 @@ escaped(std::string_view s)
         }
         out += c;
     }
-    return out;
-}
-
-std::string
-jsonEscaped(std::string_view s)
-{
-    std::string out;
-    appendJsonEscaped(out, s);
     return out;
 }
 
@@ -119,56 +111,42 @@ exportPrometheus()
 std::string
 exportMetricsJson()
 {
-    std::string out = "{\"metrics\": [\n";
-    bool first = true;
+    base::JsonWriter w;
+    w.beginObject().key("metrics").beginArray();
     for (const MetricSnapshot &m : Registry::instance().snapshot()) {
-        if (!first) {
-            out += ",\n";
+        w.beginObject();
+        w.key("name").value(m.name).key("kind").value(metricKindName(m.kind));
+        w.key("help").value(m.help);
+        w.key("labels").beginObject();
+        for (const auto &[label, value] : m.labels) {
+            w.key(label).value(value);
         }
-        first = false;
-        out += "  {\"name\": \"" + jsonEscaped(m.name) + "\", \"kind\": \"";
-        out += metricKindName(m.kind);
-        out += "\", \"help\": \"" + jsonEscaped(m.help) +
-               "\", \"labels\": {";
-        for (std::size_t i = 0; i < m.labels.size(); ++i) {
-            if (i > 0) {
-                out += ", ";
-            }
-            out += "\"" + jsonEscaped(m.labels[i].first) + "\": \"" +
-                   jsonEscaped(m.labels[i].second) + "\"";
-        }
-        out += "}";
+        w.endObject();
         switch (m.kind) {
         case MetricKind::kCounter:
-            out += ", \"value\": " + std::to_string(m.counter_value);
+            w.key("value").value(m.counter_value);
             break;
         case MetricKind::kGauge:
-            out += ", \"value\": " + std::to_string(m.gauge_value);
+            w.key("value").value(m.gauge_value);
             break;
-        case MetricKind::kHistogram: {
-            out += ", \"bounds\": [";
-            for (std::size_t i = 0; i < m.histogram.bounds.size(); ++i) {
-                if (i > 0) {
-                    out += ", ";
-                }
-                out += std::to_string(m.histogram.bounds[i]);
+        case MetricKind::kHistogram:
+            w.key("bounds").beginArray();
+            for (u64 bound : m.histogram.bounds) {
+                w.value(bound);
             }
-            out += "], \"counts\": [";
-            for (std::size_t i = 0; i < m.histogram.counts.size(); ++i) {
-                if (i > 0) {
-                    out += ", ";
-                }
-                out += std::to_string(m.histogram.counts[i]);
+            w.endArray().key("counts").beginArray();
+            for (u64 count : m.histogram.counts) {
+                w.value(count);
             }
-            out += "], \"sum\": " + std::to_string(m.histogram.sum);
-            out += ", \"count\": " + std::to_string(m.histogram.count);
+            w.endArray();
+            w.key("sum").value(m.histogram.sum);
+            w.key("count").value(m.histogram.count);
             break;
         }
-        }
-        out += "}";
+        w.endObject();
     }
-    out += "\n]}\n";
-    return out;
+    w.endArray().endObject();
+    return w.take() + "\n";
 }
 
 namespace {

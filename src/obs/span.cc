@@ -1,9 +1,9 @@
 #include "obs/span.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 
+#include "base/json.h"
 #include "base/mutex.h"
 #include "base/parallel.h"
 
@@ -247,89 +247,35 @@ Span::~Span()
 
 // ---- Chrome trace export -------------------------------------------------
 
-void
-appendJsonEscaped(std::string &out, std::string_view s)
-{
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
 namespace {
 
-void
-appendString(std::string &out, std::string_view s)
+/** Microseconds with sub-µs precision (Chrome "ts"/"dur"). */
+double
+micros(u64 ns)
 {
-    out += '"';
-    appendJsonEscaped(out, s);
-    out += '"';
-}
-
-/** Microsecond timestamp with sub-µs precision (Chrome "ts"/"dur"). */
-void
-appendMicros(std::string &out, u64 ns)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) / 1000.0);
-    out += buf;
+    return static_cast<double>(ns) / 1000.0;
 }
 
 void
-appendArgs(std::string &out,
-           const std::vector<std::pair<std::string, std::string>> &args)
+writeMetadata(base::JsonWriter &w, const char *what, u64 pid, u64 tid,
+              std::string_view name)
 {
-    out += "{";
-    bool first = true;
-    for (const auto &[k, v] : args) {
-        if (!first) {
-            out += ", ";
-        }
-        first = false;
-        appendString(out, k);
-        out += ": ";
-        appendString(out, v);
-    }
-    out += "}";
+    w.beginObject();
+    w.key("ph").value("M").key("name").value(what);
+    w.key("pid").value(pid).key("tid").value(tid);
+    w.key("args").beginObject().key("name").value(name).endObject();
+    w.endObject();
 }
 
+/** Open a complete ("X") event; the caller writes "args" and closes it. */
 void
-appendMetadata(std::string &out, const char *what, u64 pid, u64 tid,
-               std::string_view name, bool &first)
+beginComplete(base::JsonWriter &w, u64 pid, u64 tid, std::string_view name,
+              std::string_view category, u64 start_ns, u64 dur_ns)
 {
-    if (!first) {
-        out += ",\n";
-    }
-    first = false;
-    out += R"(  {"ph": "M", "name": ")";
-    out += what;
-    out += R"(", "pid": )";
-    out += std::to_string(pid);
-    out += ", \"tid\": ";
-    out += std::to_string(tid);
-    out += R"(, "args": {"name": )";
-    appendString(out, name);
-    out += "}}";
+    w.beginObject();
+    w.key("ph").value("X").key("pid").value(pid).key("tid").value(tid);
+    w.key("name").value(name).key("cat").value(category);
+    w.key("ts").value(micros(start_ns)).key("dur").value(micros(dur_ns));
 }
 
 /** Sim launches get their own Chrome pid so tracks stay separate. */
@@ -411,107 +357,66 @@ exportChromeTrace()
         }
     }
 
-    std::string out = "{\"traceEvents\": [\n";
-    bool first = true;
+    base::JsonWriter w;
+    w.beginObject().key("traceEvents").beginArray();
 
     // Process / thread naming metadata.
     if (have_wall) {
-        appendMetadata(out, "process_name", 1, 0, "wall clock", first);
+        writeMetadata(w, "process_name", 1, 0, "wall clock");
         for (const auto &[track, unused] : wall_tracks) {
             (void)unused;
-            appendMetadata(out, "thread_name", 1, track,
-                           "thread-" + std::to_string(track), first);
+            writeMetadata(w, "thread_name", 1, track,
+                          "thread-" + std::to_string(track));
         }
     }
     for (const auto &[launch, unused] : launches) {
         (void)unused;
-        appendMetadata(out, "process_name", launchPid(launch), 0,
-                       "sim launch " + std::to_string(launch), first);
-        appendMetadata(out, "thread_name", launchPid(launch), kSimPhaseTrack,
-                       simTrackName(kSimPhaseTrack), first);
+        writeMetadata(w, "process_name", launchPid(launch), 0,
+                      "sim launch " + std::to_string(launch));
+        writeMetadata(w, "thread_name", launchPid(launch), kSimPhaseTrack,
+                      simTrackName(kSimPhaseTrack));
     }
     for (const auto &[key, unused] : sim_tracks) {
         (void)unused;
-        appendMetadata(out, "thread_name", launchPid(key.first), key.second,
-                       simTrackName(key.second), first);
+        writeMetadata(w, "thread_name", launchPid(key.first), key.second,
+                      simTrackName(key.second));
     }
 
     // Synthesized per-phase envelope spans.
     for (const auto &[key, env] : phases) {
-        if (!first) {
-            out += ",\n";
-        }
-        first = false;
-        out += R"(  {"ph": "X", "pid": )";
-        out += std::to_string(launchPid(key.first));
-        out += ", \"tid\": ";
-        out += std::to_string(kSimPhaseTrack);
-        out += ", \"name\": ";
-        appendString(out, key.second);
-        out += R"(, "cat": "sim.phase", "ts": )";
-        appendMicros(out, env.start);
-        out += ", \"dur\": ";
-        appendMicros(out, env.end - env.start);
-        out += ", \"args\": {}}";
+        beginComplete(w, launchPid(key.first), kSimPhaseTrack, key.second,
+                      "sim.phase", env.start, env.end - env.start);
+        w.key("args").beginObject().endObject().endObject();
     }
 
     // The recorded events themselves.
     for (const TraceEvent &e : events) {
-        if (!first) {
-            out += ",\n";
+        if (e.kind == TraceEventKind::kSimCounter) {
+            w.beginObject();
+            w.key("ph").value("C").key("pid").value(launchPid(e.launch));
+            w.key("tid").value(u64{0}).key("name").value(e.name);
+            w.key("cat").value(e.category).key("ts").value(micros(e.start_ns));
+            w.key("args").beginObject().key("value").value(e.value);
+            w.endObject().endObject();
+            continue;
         }
-        first = false;
-        switch (e.kind) {
-        case TraceEventKind::kWallSpan: {
-            out += R"(  {"ph": "X", "pid": 1, "tid": )";
-            out += std::to_string(e.track);
-            out += ", \"name\": ";
-            appendString(out, e.name);
-            out += R"(, "cat": "wall", "ts": )";
-            appendMicros(out, e.start_ns - wall_base);
-            out += ", \"dur\": ";
-            appendMicros(out, e.dur_ns);
-            out += ", \"args\": ";
-            std::vector<std::pair<std::string, std::string>> args = e.args;
-            args.emplace_back("span_id", std::to_string(e.id));
-            args.emplace_back("parent_id", std::to_string(e.parent));
-            appendArgs(out, args);
-            out += "}";
-            break;
+        bool wall = e.kind == TraceEventKind::kWallSpan;
+        beginComplete(w, wall ? 1 : launchPid(e.launch), e.track, e.name,
+                      e.category, wall ? e.start_ns - wall_base : e.start_ns,
+                      e.dur_ns);
+        w.key("args").beginObject();
+        for (const auto &[k, v] : e.args) {
+            w.key(k).value(v);
         }
-        case TraceEventKind::kSimStep: {
-            out += R"(  {"ph": "X", "pid": )";
-            out += std::to_string(launchPid(e.launch));
-            out += ", \"tid\": ";
-            out += std::to_string(e.track);
-            out += ", \"name\": ";
-            appendString(out, e.name);
-            out += R"(, "cat": "sim.step", "ts": )";
-            appendMicros(out, e.start_ns);
-            out += ", \"dur\": ";
-            appendMicros(out, e.dur_ns);
-            out += ", \"args\": ";
-            appendArgs(out, e.args);
-            out += "}";
-            break;
+        if (wall) {
+            w.key("span_id").value(std::to_string(e.id));
+            w.key("parent_id").value(std::to_string(e.parent));
         }
-        case TraceEventKind::kSimCounter: {
-            out += R"(  {"ph": "C", "pid": )";
-            out += std::to_string(launchPid(e.launch));
-            out += ", \"tid\": 0, \"name\": ";
-            appendString(out, e.name);
-            out += R"(, "cat": "counter", "ts": )";
-            appendMicros(out, e.start_ns);
-            out += R"(, "args": {"value": )";
-            out += std::to_string(e.value);
-            out += "}}";
-            break;
-        }
-        }
+        w.endObject().endObject();
     }
 
-    out += "\n], \"displayTimeUnit\": \"ms\"}\n";
-    return out;
+    w.endArray().key("displayTimeUnit").value("ms").endObject();
+    return w.take() + "\n";
 }
 
 } // namespace sevf::obs

@@ -195,13 +195,6 @@ class Span
  */
 std::string exportChromeTrace();
 
-/**
- * Append @p s to @p out escaped as the body of a JSON string (RFC 8259:
- * quote, backslash and every control character below 0x20). Shared by
- * the Chrome-trace and the JSON metrics exporters.
- */
-void appendJsonEscaped(std::string &out, std::string_view s);
-
 } // namespace sevf::obs
 
 #endif // SEVF_OBS_SPAN_H_

@@ -7,8 +7,8 @@
 #include <thread>
 #include <utility>
 
+#include "base/json.h"
 #include "obs/metrics.h"
-#include "stats/json.h"
 
 namespace sevf::service {
 
@@ -35,31 +35,31 @@ isTypedRejection(const Status &status)
 }
 
 Result<TenantQuota>
-parseQuota(const stats::JsonValue &t)
+parseQuota(const base::JsonValue &t)
 {
     TenantQuota quota;
-    if (const stats::JsonValue *w = t.find("weight")) {
+    if (const base::JsonValue *w = t.find("weight")) {
         if (!w->isNumber() || w->asNumber() < 1) {
             return errInvalidArgument("trace: tenant weight must be a "
                                       "number >= 1");
         }
         quota.weight = static_cast<u32>(w->asNumber());
     }
-    if (const stats::JsonValue *v = t.find("max_in_flight")) {
+    if (const base::JsonValue *v = t.find("max_in_flight")) {
         if (!v->isNumber() || v->asNumber() < 0) {
             return errInvalidArgument("trace: max_in_flight must be a "
                                       "non-negative number");
         }
         quota.max_in_flight = static_cast<u32>(v->asNumber());
     }
-    if (const stats::JsonValue *v = t.find("max_queued")) {
+    if (const base::JsonValue *v = t.find("max_queued")) {
         if (!v->isNumber() || v->asNumber() < 0) {
             return errInvalidArgument("trace: max_queued must be a "
                                       "non-negative number");
         }
         quota.max_queued = static_cast<std::size_t>(v->asNumber());
     }
-    if (const stats::JsonValue *v = t.find("cache_share_bytes")) {
+    if (const base::JsonValue *v = t.find("cache_share_bytes")) {
         if (!v->isNumber() || v->asNumber() < 0) {
             return errInvalidArgument("trace: cache_share_bytes must be "
                                       "a non-negative number");
@@ -97,15 +97,15 @@ parseStrategy(const std::string &name)
 Result<WorkloadTrace>
 WorkloadTrace::parse(const std::string &json_text)
 {
-    SEVF_ASSIGN_OR_RETURN(stats::JsonValue doc,
-                          stats::parseJson(json_text));
+    SEVF_ASSIGN_OR_RETURN(base::JsonValue doc,
+                          base::parseJson(json_text));
     if (!doc.isObject()) {
         return errInvalidArgument("trace: document must be an object");
     }
 
     double default_scale = 1.0;
-    if (const stats::JsonValue *defaults = doc.find("defaults")) {
-        if (const stats::JsonValue *s = defaults->find("scale")) {
+    if (const base::JsonValue *defaults = doc.find("defaults")) {
+        if (const base::JsonValue *s = defaults->find("scale")) {
             if (!s->isNumber() || s->asNumber() <= 0 ||
                 s->asNumber() > 1.0) {
                 return errInvalidArgument(
@@ -116,14 +116,14 @@ WorkloadTrace::parse(const std::string &json_text)
     }
 
     WorkloadTrace trace;
-    const stats::JsonValue *tenants = doc.find("tenants");
+    const base::JsonValue *tenants = doc.find("tenants");
     if (tenants == nullptr || !tenants->isArray() ||
         tenants->asArray().empty()) {
         return errInvalidArgument(
             "trace: missing non-empty tenants array");
     }
     std::map<std::string, bool> declared;
-    for (const stats::JsonValue &t : tenants->asArray()) {
+    for (const base::JsonValue &t : tenants->asArray()) {
         if (!t.isObject() || t.find("id") == nullptr ||
             !t.find("id")->isString()) {
             return errInvalidArgument(
@@ -139,17 +139,17 @@ WorkloadTrace::parse(const std::string &json_text)
         trace.tenants.emplace_back(id, quota);
     }
 
-    const stats::JsonValue *events = doc.find("events");
+    const base::JsonValue *events = doc.find("events");
     if (events == nullptr || !events->isArray() ||
         events->asArray().empty()) {
         return errInvalidArgument("trace: missing non-empty events array");
     }
-    for (const stats::JsonValue &e : events->asArray()) {
+    for (const base::JsonValue &e : events->asArray()) {
         if (!e.isObject()) {
             return errInvalidArgument("trace: events must be objects");
         }
         TraceEventSpec spec;
-        const stats::JsonValue *tenant = e.find("tenant");
+        const base::JsonValue *tenant = e.find("tenant");
         if (tenant == nullptr || !tenant->isString()) {
             return errInvalidArgument(
                 "trace: every event needs a string tenant");
@@ -160,21 +160,21 @@ WorkloadTrace::parse(const std::string &json_text)
                                       "tenant \"" +
                                       spec.tenant + "\"");
         }
-        const stats::JsonValue *strategy = e.find("strategy");
+        const base::JsonValue *strategy = e.find("strategy");
         if (strategy == nullptr || !strategy->isString()) {
             return errInvalidArgument(
                 "trace: every event needs a string strategy");
         }
         SEVF_ASSIGN_OR_RETURN(spec.strategy,
                               parseStrategy(strategy->asString()));
-        const stats::JsonValue *at = e.find("at_us");
+        const base::JsonValue *at = e.find("at_us");
         if (at == nullptr || !at->isNumber() || at->asNumber() < 0) {
             return errInvalidArgument("trace: every event needs a "
                                       "non-negative numeric at_us");
         }
         spec.at_us = static_cast<u64>(at->asNumber());
         spec.scale = default_scale;
-        if (const stats::JsonValue *s = e.find("scale")) {
+        if (const base::JsonValue *s = e.find("scale")) {
             if (!s->isNumber() || s->asNumber() <= 0 ||
                 s->asNumber() > 1.0) {
                 return errInvalidArgument(
@@ -313,7 +313,7 @@ replayTrace(LaunchService &service, const WorkloadTrace &trace,
 std::string
 reportToJson(const ReplayReport &report)
 {
-    stats::JsonWriter w;
+    base::JsonWriter w;
     w.beginObject();
     w.key("wall_ns").value(report.wall_ns);
     w.key("latency_fairness").value(report.latency_fairness);

@@ -10,7 +10,7 @@
  * fairness and quota behavior. tools/sevf_serve.cc is the CLI driver;
  * bench/bench_service_fairness.cc builds traces programmatically.
  *
- * Trace format (parsed with the repo's own stats/json parser):
+ * Trace format (parsed with the repo's own base/json parser):
  *
  *   {
  *     "tenants": [
@@ -118,7 +118,7 @@ Result<ReplayReport> replayTrace(LaunchService &service,
                                  const WorkloadTrace &trace,
                                  double time_scale = 1.0);
 
-/** Render @p report as JSON (stats/json.h writer). */
+/** Render @p report as JSON (base/json.h writer). */
 std::string reportToJson(const ReplayReport &report);
 
 } // namespace sevf::service

@@ -17,7 +17,7 @@ DebugPort::recordData(sim::TimePoint t, std::string label, ByteSpan payload)
         label += " <redacted " + std::to_string(payload.size()) +
                  " secret bytes: " + taint::describeLabels(labels) + ">";
     } else {
-        label += " " + toHex(payload);
+        label.append(" ").append(toHex(payload));
     }
     events_.push_back({t, std::move(label)});
 }

@@ -1,10 +1,12 @@
 /**
  * @file
- * Unit tests for the base module: byte utilities, Status/Result, Rng.
+ * Unit tests for the base module: byte utilities, Status/Result, Rng,
+ * the JSON writer and parser.
  */
 #include <gtest/gtest.h>
 
 #include "base/bytes.h"
+#include "base/json.h"
 #include "base/rng.h"
 #include "base/status.h"
 #include "base/types.h"
@@ -126,7 +128,7 @@ TEST(Bytes, ReaderBoundsChecked)
 TEST(Bytes, WriterPatch)
 {
     ByteWriter w;
-    w.u32le(0);
+    w.zeros(4);
     w.str("abcd");
     u8 fix[4];
     storeLe<u32>(fix, 0x11223344);
@@ -252,6 +254,79 @@ TEST(Rng, FillCoversBuffer)
         any_nonzero |= (b != 0);
     }
     EXPECT_TRUE(any_nonzero);
+}
+
+// ----------------------------------------------------------------- json
+
+TEST(Json, ObjectsArraysAndEscaping)
+{
+    base::JsonWriter w;
+    w.beginObject();
+    w.key("name").value("line\n\"quoted\"");
+    w.key("count").value(u64{42});
+    w.key("ratio").value(0.5);
+    w.key("ok").value(true);
+    w.key("items").beginArray();
+    w.value(u64{1}).value(u64{2});
+    w.beginObject().key("x").value(i64{-3}).endObject();
+    w.endArray();
+    w.endObject();
+    std::string out = w.take();
+    EXPECT_EQ(out,
+              "{\"name\":\"line\\n\\\"quoted\\\"\","
+              "\"count\":42,\"ratio\":0.5,\"ok\":true,"
+              "\"items\":[1,2,{\"x\":-3}]}");
+}
+
+TEST(Json, EmptyContainers)
+{
+    base::JsonWriter w;
+    w.beginObject();
+    w.key("empty_array").beginArray().endArray();
+    w.key("empty_object").beginObject().endObject();
+    w.endObject();
+    EXPECT_EQ(w.take(), "{\"empty_array\":[],\"empty_object\":{}}");
+}
+
+TEST(Json, DoublesRoundTripExactly)
+{
+    // Trace timestamps are microseconds with nanosecond digits, so a
+    // fixed %.6g precision would round them away.
+    for (double v :
+         {12345678.901, 5650.123456, 0.1, 1e-9, 9007199254740992.0}) {
+        base::JsonWriter w;
+        w.beginArray().value(v).endArray();
+        std::string text = w.take();
+        Result<base::JsonValue> doc = base::parseJson(text);
+        ASSERT_TRUE(doc.isOk()) << text << ": " << doc.status().toString();
+        EXPECT_EQ(doc->asArray().at(0).asNumber(), v) << text;
+    }
+}
+
+TEST(Json, ParserAcceptsRfc8259Numbers)
+{
+    Result<base::JsonValue> doc =
+        base::parseJson("[0, -0, 7, -12.5, 0.25e-3, 1E+2, 3e4]");
+    ASSERT_TRUE(doc.isOk()) << doc.status().toString();
+    const base::JsonValue::Array &a = doc->asArray();
+    ASSERT_EQ(a.size(), 7u);
+    EXPECT_EQ(a[3].asNumber(), -12.5);
+    EXPECT_EQ(a[4].asNumber(), 0.25e-3);
+    EXPECT_EQ(a[5].asNumber(), 100.0);
+}
+
+TEST(Json, ParserRejectsWhatRfc8259Forbids)
+{
+    // Raw control characters in strings, a leading zero, a bare
+    // trailing dot.
+    for (std::string_view bad :
+         {"[\"a\tb\"]", "[\"\x01\"]", "[\"a\nb\"]", "[01]", "[1.]"}) {
+        Result<base::JsonValue> doc = base::parseJson(bad);
+        ASSERT_FALSE(doc.isOk()) << bad;
+        EXPECT_EQ(doc.status().code(), ErrorCode::kCorrupted) << bad;
+        EXPECT_NE(doc.status().message().find("at byte "), std::string::npos)
+            << doc.status().toString();
+    }
 }
 
 } // namespace

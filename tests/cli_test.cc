@@ -35,13 +35,14 @@ TEST(BootCli, EveryFlagIsParseable)
             // First alternative of "a|b|c", else a number.
             std::string value = hint.substr(0, hint.find('|'));
             if (value == "N" || value == "BYTES" || value == "0..1") {
-                value = "1";
+                args.push_back("1");
             } else if (value == "FILE") {
-                value = "/dev/null";
+                args.push_back("/dev/null");
             } else if (value == "DIR") {
-                value = "/tmp";
+                args.push_back("/tmp");
+            } else {
+                args.push_back(value);
             }
-            args.push_back(value);
         }
         Result<BootOptions> parsed = parseBootArgs(args);
         EXPECT_TRUE(parsed.isOk())

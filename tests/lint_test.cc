@@ -301,8 +301,8 @@ selfNested(Shardish &s, Shardish &t2)
 } // namespace t
 )");
     LockOrderSpec spec;
-    spec.exclusive.emplace_back("Shardish::mu", "Auditish::mu");
-    spec.exclusive.emplace_back("Shardish::mu", "Shardish::mu");
+    spec.exclusive = {{"Shardish::mu", "Auditish::mu"},
+                      {"Shardish::mu", "Shardish::mu"}};
     std::vector<Violation> vs = lint(tree, spec);
     EXPECT_EQ(countRule(vs, "lock-order"), 2u);
 }

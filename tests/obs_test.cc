@@ -2,7 +2,7 @@
  * @file
  * Observability layer: registry units, histogram bucket edges, span
  * nesting (including across parallelFor workers), Chrome-trace JSON
- * well-formedness (parsed with the repo's own stats/json parser), the
+ * well-formedness (parsed with the repo's own base/json parser), the
  * exporters, and a full five-strategy launch whose span tree must match
  * the phase order the launch itself reports.
  */
@@ -11,12 +11,12 @@
 #include <algorithm>
 #include <set>
 
+#include "base/json.h"
 #include "base/parallel.h"
 #include "core/launch.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "stats/json.h"
 #include "workload/synthetic.h"
 
 namespace sevf::obs {
@@ -184,11 +184,14 @@ TEST_F(ObsTest, ChromeTraceExportIsWellFormedJson)
     u64 launch = newLaunchId();
     simStep(launch, kSimCpuTrack, "test-phase", "step-a", 0, 1000);
     simStep(launch, kSimPspTrack, "test-phase", "step-b", 1000, 500);
+    // Nanosecond digits on a large timestamp must survive the export.
+    simStep(launch, kSimCpuTrack, "late-phase", "step-late", 12345678901,
+            1001);
     simCounter(launch, "test_counter", 0, 3);
 
-    Result<stats::JsonValue> doc = stats::parseJson(exportChromeTrace());
+    Result<base::JsonValue> doc = base::parseJson(exportChromeTrace());
     ASSERT_TRUE(doc.isOk()) << doc.status().toString();
-    const stats::JsonValue *events = doc->find("traceEvents");
+    const base::JsonValue *events = doc->find("traceEvents");
     ASSERT_NE(events, nullptr);
     ASSERT_TRUE(events->isArray());
 
@@ -196,7 +199,8 @@ TEST_F(ObsTest, ChromeTraceExportIsWellFormedJson)
     bool saw_step = false;
     bool saw_counter = false;
     bool saw_phase_envelope = false;
-    for (const stats::JsonValue &e : events->asArray()) {
+    bool saw_late_step = false;
+    for (const base::JsonValue &e : events->asArray()) {
         ASSERT_TRUE(e.isObject());
         const std::string &ph = e.stringAt("ph");
         if (ph == "M") {
@@ -204,7 +208,7 @@ TEST_F(ObsTest, ChromeTraceExportIsWellFormedJson)
         }
         EXPECT_NE(e.find("pid"), nullptr);
         EXPECT_NE(e.find("ts"), nullptr);
-        const stats::JsonValue *cat = e.find("cat");
+        const base::JsonValue *cat = e.find("cat");
         if (ph == "C") {
             saw_counter = e.stringAt("name") == "test_counter";
             continue;
@@ -215,7 +219,7 @@ TEST_F(ObsTest, ChromeTraceExportIsWellFormedJson)
             e.stringAt("name") == "export.span") {
             saw_wall = true;
             // Span args survive into the export alongside the ids.
-            const stats::JsonValue *args = e.find("args");
+            const base::JsonValue *args = e.find("args");
             ASSERT_NE(args, nullptr);
             EXPECT_EQ(args->stringAt("bytes"), "128");
             EXPECT_NE(args->find("span_id"), nullptr);
@@ -223,6 +227,12 @@ TEST_F(ObsTest, ChromeTraceExportIsWellFormedJson)
         }
         if (cat->asString() == "sim.step") {
             saw_step = true;
+        }
+        if (cat->asString() == "sim.step" &&
+            e.stringAt("name") == "step-late") {
+            saw_late_step = true;
+            EXPECT_EQ(e.numberAt("ts"), 12345678.901);
+            EXPECT_EQ(e.numberAt("dur"), 1.001);
         }
         if (cat->asString() == "sim.phase" &&
             e.stringAt("name") == "test-phase") {
@@ -235,6 +245,7 @@ TEST_F(ObsTest, ChromeTraceExportIsWellFormedJson)
     EXPECT_TRUE(saw_step);
     EXPECT_TRUE(saw_counter);
     EXPECT_TRUE(saw_phase_envelope);
+    EXPECT_TRUE(saw_late_step);
 }
 
 TEST_F(ObsTest, PrometheusExportDeclaresEveryFamilyOnce)
@@ -268,12 +279,12 @@ TEST_F(ObsTest, MetricsJsonExportParses)
 {
     ScopedEnable on(true, false);
     Registry::instance().counter("test_json_total", "t").add(9);
-    Result<stats::JsonValue> doc = stats::parseJson(exportMetricsJson());
+    Result<base::JsonValue> doc = base::parseJson(exportMetricsJson());
     ASSERT_TRUE(doc.isOk()) << doc.status().toString();
-    const stats::JsonValue *metrics = doc->find("metrics");
+    const base::JsonValue *metrics = doc->find("metrics");
     ASSERT_NE(metrics, nullptr);
     bool found = false;
-    for (const stats::JsonValue &m : metrics->asArray()) {
+    for (const base::JsonValue &m : metrics->asArray()) {
         if (m.stringAt("name") == "test_json_total") {
             found = true;
             EXPECT_EQ(m.stringAt("kind"), "counter");
@@ -286,13 +297,16 @@ TEST_F(ObsTest, MetricsJsonExportParses)
 TEST_F(ObsTest, MetricsJsonExportEscapesControlCharacters)
 {
     // Label values can come from trace files (tenant ids). RFC 8259
-    // forbids raw control characters in strings, and stats::parseJson
-    // tolerates them, so check the exported text itself.
+    // forbids raw control characters in strings, and base::parseJson
+    // rejects them, so the export must parse; the text checks pin the
+    // escaped form.
     ScopedEnable on(true, false);
     Registry::instance()
         .counter("test_json_escape_total", "t", {{"tenant", "a\tb\x01" "c"}})
         .add();
     std::string json = exportMetricsJson();
+    Result<base::JsonValue> doc = base::parseJson(json);
+    ASSERT_TRUE(doc.isOk()) << doc.status().toString();
     EXPECT_NE(json.find("\"a\\tb\\u0001c\""), std::string::npos) << json;
     EXPECT_EQ(json.find('\t'), std::string::npos);
     EXPECT_EQ(json.find('\x01'), std::string::npos);

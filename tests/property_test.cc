@@ -227,8 +227,8 @@ TEST_P(MeasurementFuzz, ExpectedToolAlwaysMatchesPsp)
         rng.fill(bytes);
         ASSERT_TRUE(mem.hostWrite(next_gpa, bytes).isOk());
         ASSERT_TRUE(psp.launchUpdateData(h, mem, next_gpa, len).isOk());
-        plan.push_back({"r" + std::to_string(i), next_gpa,
-                        std::move(bytes)});
+        plan.push_back({std::string("r").append(std::to_string(i)),
+                        next_gpa, std::move(bytes)});
         next_gpa += alignUp(len, kPageSize) + kPageSize;
     }
     // Random number of VMSAs.

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "base/json.h"
 #include "cache/template_cache.h"
 #include "core/launch.h"
 #include "fault/fault.h"
@@ -20,7 +21,6 @@
 #include "service/launch_service.h"
 #include "service/tenant.h"
 #include "service/trace_replay.h"
-#include "stats/json.h"
 
 namespace sevf {
 namespace {
@@ -435,8 +435,8 @@ TEST(TraceReplayTest, ReplayReportsPerTenantOutcomes)
     EXPECT_LE(report->latency_fairness, 1.0 + 1e-9);
 
     // The JSON rendering round-trips through the repo's own parser.
-    Result<stats::JsonValue> parsed =
-        stats::parseJson(service::reportToJson(*report));
+    Result<base::JsonValue> parsed =
+        base::parseJson(service::reportToJson(*report));
     ASSERT_TRUE(parsed.isOk()) << parsed.status().toString();
     EXPECT_EQ(parsed->find("tenants")->asArray().size(), 2u);
 }

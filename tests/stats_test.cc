@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "stats/ascii_chart.h"
-#include "stats/json.h"
 #include "stats/summary.h"
 #include "stats/table.h"
 
@@ -131,36 +130,6 @@ TEST(AsciiChartTest, MonotoneSeriesRendersMonotone)
         EXPECT_LE(first_col[i], first_col[i - 1])
             << "rows lower on screen hold smaller y => smaller x";
     }
-}
-
-TEST(Json, ObjectsArraysAndEscaping)
-{
-    JsonWriter w;
-    w.beginObject();
-    w.key("name").value("line\n\"quoted\"");
-    w.key("count").value(u64{42});
-    w.key("ratio").value(0.5);
-    w.key("ok").value(true);
-    w.key("items").beginArray();
-    w.value(u64{1}).value(u64{2});
-    w.beginObject().key("x").value(i64{-3}).endObject();
-    w.endArray();
-    w.endObject();
-    std::string out = w.take();
-    EXPECT_EQ(out,
-              "{\"name\":\"line\\n\\\"quoted\\\"\","
-              "\"count\":42,\"ratio\":0.5,\"ok\":true,"
-              "\"items\":[1,2,{\"x\":-3}]}");
-}
-
-TEST(Json, EmptyContainers)
-{
-    JsonWriter w;
-    w.beginObject();
-    w.key("empty_array").beginArray().endArray();
-    w.key("empty_object").beginObject().endObject();
-    w.endObject();
-    EXPECT_EQ(w.take(), "{\"empty_array\":[],\"empty_object\":{}}");
 }
 
 } // namespace

@@ -8,7 +8,7 @@
  *                        [--service] [--min-coverage 0.95]
  *
  * Five checks, each on when its input file (or flag) is given:
- *  - trace: parses as JSON (with the repo's own stats/json parser),
+ *  - trace: parses as JSON (with the repo's own base/json parser),
  *    every event is structurally a Chrome trace event, and per sim
  *    launch the union of sim.step spans covers >= min-coverage of the
  *    launch's simulated duration.
@@ -42,7 +42,7 @@
 #include <string>
 #include <vector>
 
-#include "stats/json.h"
+#include "base/json.h"
 
 using namespace sevf;
 
@@ -110,12 +110,12 @@ checkTrace(const std::string &path, double min_coverage)
         fail(text.status().message());
         return names;
     }
-    Result<stats::JsonValue> doc = stats::parseJson(*text);
+    Result<base::JsonValue> doc = base::parseJson(*text);
     if (!doc.isOk()) {
         fail("trace: " + doc.status().message());
         return names;
     }
-    const stats::JsonValue *events = doc->find("traceEvents");
+    const base::JsonValue *events = doc->find("traceEvents");
     if (events == nullptr || !events->isArray()) {
         fail("trace: missing traceEvents array");
         return names;
@@ -125,13 +125,13 @@ checkTrace(const std::string &path, double min_coverage)
     std::map<double, std::vector<Interval>> sim_spans;
     std::map<double, double> sim_end;
     std::size_t n = 0;
-    for (const stats::JsonValue &e : events->asArray()) {
+    for (const base::JsonValue &e : events->asArray()) {
         ++n;
         if (!e.isObject()) {
             fail("trace: event " + std::to_string(n) + " is not an object");
             continue;
         }
-        const stats::JsonValue *ph = e.find("ph");
+        const base::JsonValue *ph = e.find("ph");
         if (ph == nullptr || !ph->isString()) {
             fail("trace: event " + std::to_string(n) + " lacks \"ph\"");
             continue;
@@ -140,9 +140,9 @@ checkTrace(const std::string &path, double min_coverage)
         if (kind == "M") {
             continue; // metadata: name/pid/tid/args checked by the parse
         }
-        const stats::JsonValue *name = e.find("name");
-        const stats::JsonValue *pid = e.find("pid");
-        const stats::JsonValue *ts = e.find("ts");
+        const base::JsonValue *name = e.find("name");
+        const base::JsonValue *pid = e.find("pid");
+        const base::JsonValue *ts = e.find("ts");
         if (name == nullptr || !name->isString() || pid == nullptr ||
             !pid->isNumber() || ts == nullptr || !ts->isNumber()) {
             fail("trace: event " + std::to_string(n) +
@@ -158,8 +158,8 @@ checkTrace(const std::string &path, double min_coverage)
                  " has unexpected ph \"" + kind + "\"");
             continue;
         }
-        const stats::JsonValue *dur = e.find("dur");
-        const stats::JsonValue *cat = e.find("cat");
+        const base::JsonValue *dur = e.find("dur");
+        const base::JsonValue *cat = e.find("cat");
         if (dur == nullptr || !dur->isNumber() || cat == nullptr ||
             !cat->isString()) {
             fail("trace: X event " + std::to_string(n) + " lacks dur/cat");
@@ -228,17 +228,17 @@ checkMetrics(const std::string &path)
 
     if (path.size() > 5 &&
         path.compare(path.size() - 5, 5, ".json") == 0) {
-        Result<stats::JsonValue> doc = stats::parseJson(*text);
+        Result<base::JsonValue> doc = base::parseJson(*text);
         if (!doc.isOk()) {
             fail("metrics: " + doc.status().message());
             return families;
         }
-        const stats::JsonValue *metrics = doc->find("metrics");
+        const base::JsonValue *metrics = doc->find("metrics");
         if (metrics == nullptr || !metrics->isArray()) {
             fail("metrics: missing metrics array");
             return families;
         }
-        for (const stats::JsonValue &m : metrics->asArray()) {
+        for (const base::JsonValue &m : metrics->asArray()) {
             families.insert(m.stringAt("name"));
         }
     } else {
