@@ -8,7 +8,7 @@
  * and the launch digest folds per-page SHA-256 digests. This module
  * provides the one reusable primitive those paths need - a persistent
  * worker pool with a chunked parallelFor - behind a process-wide
- * host-thread knob (LaunchRequest::host_threads / Platform).
+ * host-thread knob (LaunchRequest::host_threads).
  *
  * Invariants the callers rely on:
  *  - parallelFor(begin, end, grain, fn) covers [begin, end) exactly
@@ -73,9 +73,9 @@ class ThreadPool
 };
 
 /**
- * Process-wide host-thread knob. Defaults to 1 (fully serial). The
- * launch layer sets it from LaunchRequest/Platform::host_threads for
- * the duration of a launch via ScopedHostThreads.
+ * Process-wide host-thread knob. Defaults to 1 (fully serial); 0 also
+ * means serial. The launch layer sets it from LaunchRequest::host_threads
+ * for the duration of a launch via ScopedHostThreads.
  */
 unsigned hostThreads();
 void setHostThreads(unsigned n);

@@ -6,6 +6,7 @@
 #include "base/logging.h"
 #include "cache/template_io.h"
 #include "fault/fault.h"
+#include "obs/families.h"
 #include "obs/span.h"
 
 namespace sevf::cache {
@@ -28,29 +29,18 @@ LaunchTemplate::byteSize() const
 }
 
 TemplateCache::TemplateCache()
-    : hits_metric_(obs::Registry::instance().counter(
-          "sevf_cache_hits_total",
-          "Launch-template cache hits (warm launches)")),
-      misses_metric_(obs::Registry::instance().counter(
-          "sevf_cache_misses_total",
-          "Launch-template cache misses (cold template builds)")),
-      evictions_metric_(obs::Registry::instance().counter(
-          "sevf_cache_evictions_total",
-          "Launch templates evicted to fit the byte budget")),
-      inserts_metric_(obs::Registry::instance().counter(
-          "sevf_cache_inserts_total", "Launch templates published")),
-      bytes_metric_(obs::Registry::instance().gauge(
-          "sevf_cache_bytes", "Resident bytes of cached launch templates")),
-      disk_errors_metric_(obs::Registry::instance().counter(
-          "sevf_cache_disk_errors_total",
-          "Disk-tier I/O failures (reads and writes, not misses)")),
-      quarantined_metric_(obs::Registry::instance().gauge(
-          "sevf_cache_disk_quarantined",
-          "1 while the disk tier is quarantined (memory-only mode)")),
-      poisoned_metric_(obs::Registry::instance().counter(
-          "sevf_cache_poisoned_total",
-          "Warm templates invalidated after failing to replay"))
 {
+    // Registered at construction so the cache_* families appear in
+    // every metrics export (sevf_obscheck requires them) even before
+    // the first lookup.
+    obs::kCacheHits.metric();
+    obs::kCacheMisses.metric();
+    obs::kCacheEvictions.metric();
+    obs::kCacheInserts.metric();
+    obs::kCacheBytes.metric();
+    obs::kCacheDiskErrors.metric();
+    obs::kCacheDiskQuarantined.metric();
+    obs::kCachePoisoned.metric();
 }
 
 void
@@ -78,7 +68,7 @@ TemplateCache::setDiskDir(std::string dir)
     // the operator decided the storage is healthy again.
     disk_.error_streak = 0;
     disk_.quarantined = false;
-    quarantined_metric_.set(0);
+    obs::kCacheDiskQuarantined.set(0);
 }
 
 bool
@@ -103,12 +93,12 @@ TemplateCache::noteDiskError(const Status &error)
 {
     base::MutexLock lock(disk_.mu);
     disk_.errors++;
-    disk_errors_metric_.add();
+    obs::kCacheDiskErrors.add();
     disk_.error_streak++;
     if (!disk_.quarantined && disk_.error_streak >= kQuarantineStreak) {
         disk_.quarantined = true;
         disk_.quarantines++;
-        quarantined_metric_.set(1);
+        obs::kCacheDiskQuarantined.set(1);
         warn("template cache: disk tier quarantined after ",
              disk_.error_streak,
              " consecutive I/O failures (last: ", error.toString(),
@@ -137,7 +127,7 @@ TemplateCache::eraseLocked(EntryMap::iterator it, Dropped &dropped)
     lru_.erase(it->second.lru_it);
     dropped.push_back(std::move(it->second.tmpl));
     entries_.erase(it);
-    bytes_metric_.set(static_cast<i64>(bytes_));
+    obs::kCacheBytes.set(static_cast<i64>(bytes_));
 }
 
 void
@@ -151,7 +141,7 @@ TemplateCache::evictToFitLocked(Dropped &dropped) SEVF_REQUIRES(mu_)
         SEVF_CHECK(victim != entries_.end());
         eraseLocked(victim, dropped);
         evictions_++;
-        evictions_metric_.add();
+        obs::kCacheEvictions.add();
     }
 }
 
@@ -172,8 +162,8 @@ TemplateCache::insertLocked(const std::string &key_hex,
     bytes_ += entry.bytes;
     entries_.emplace(key_hex, std::move(entry));
     inserts_++;
-    inserts_metric_.add();
-    bytes_metric_.set(static_cast<i64>(bytes_));
+    obs::kCacheInserts.add();
+    obs::kCacheBytes.set(static_cast<i64>(bytes_));
     evictToFitLocked(dropped);
 }
 
@@ -245,7 +235,7 @@ TemplateCache::beginLookup(const LaunchKey &key)
             if (it != entries_.end()) {
                 touchLocked(it->second);
                 hits_++;
-                hits_metric_.add();
+                obs::kCacheHits.add();
                 return Lookup{it->second.tmpl, false};
             }
             if (building_.count(key_hex) == 0) {
@@ -274,12 +264,12 @@ TemplateCache::beginLookup(const LaunchKey &key)
     base::MutexLock lock(mu_);
     if (loaded == nullptr) {
         misses_++;
-        misses_metric_.add();
+        obs::kCacheMisses.add();
         return Lookup{nullptr, true};
     }
     insertLocked(key_hex, loaded, dropped);
     hits_++;
-    hits_metric_.add();
+    obs::kCacheHits.add();
     building_.erase(key_hex);
     build_done_.notify_all();
     // Serve the loaded copy directly: correct even when the entry was
@@ -317,7 +307,7 @@ TemplateCache::invalidate(const LaunchKey &key)
     // Poisoning: a template only gets invalidated after it failed to
     // replay (BootStrategy falls back to a cold boot). Counted so
     // operators can tell a one-off torn file from a poisoning storm.
-    poisoned_metric_.add();
+    obs::kCachePoisoned.add();
     {
         Dropped dropped;
         base::MutexLock lock(mu_);
@@ -360,7 +350,7 @@ TemplateCache::clear()
     dropped.swap(entries_);
     lru_.clear();
     bytes_ = 0;
-    bytes_metric_.set(0);
+    obs::kCacheBytes.set(0);
 }
 
 TemplateCache::Stats

@@ -47,7 +47,6 @@
 #include "cache/launch_key.h"
 #include "crypto/sha256.h"
 #include "memory/guest_memory.h"
-#include "obs/metrics.h"
 #include "sim/trace.h"
 
 namespace sevf::cache {
@@ -247,18 +246,6 @@ class TemplateCache
     u64 single_flight_waits_ SEVF_GUARDED_BY(mu_) = 0;
     u64 poisoned_ SEVF_GUARDED_BY(mu_) = 0;
     mutable DiskTier disk_;
-
-    // Registered at construction so the cache_* families appear in
-    // every metrics export (sevf_obscheck requires them) even before
-    // the first lookup.
-    obs::Counter &hits_metric_;
-    obs::Counter &misses_metric_;
-    obs::Counter &evictions_metric_;
-    obs::Counter &inserts_metric_;
-    obs::Gauge &bytes_metric_;
-    obs::Counter &disk_errors_metric_;
-    obs::Gauge &quarantined_metric_;
-    obs::Counter &poisoned_metric_;
 };
 
 } // namespace sevf::cache

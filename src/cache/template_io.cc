@@ -61,6 +61,19 @@ readBytes64(ByteReader &r)
     return r.bytes(len);
 }
 
+/** Read a count of elements of at least @p min_size bytes each,
+ *  rejecting one the bytes left cannot hold before reserving for it. */
+Result<u32>
+readCount(ByteReader &r, u64 min_size, const char *what)
+{
+    SEVF_ASSIGN_OR_RETURN(u32 count, r.u32le());
+    if (count * min_size > r.remaining()) {
+        return errCorrupted(std::string("template file: ") + what +
+                            " count past end");
+    }
+    return count;
+}
+
 } // namespace
 
 ByteVec
@@ -149,7 +162,9 @@ deserializeTemplate(ByteSpan data)
     SEVF_ASSIGN_OR_RETURN(tmpl.verifier.bytes_hashed, r.u64le());
     SEVF_ASSIGN_OR_RETURN(tmpl.verifier.pagetable_bytes, r.u64le());
 
-    SEVF_ASSIGN_OR_RETURN(u32 plan_count, r.u32le());
+    // Smallest encodings: region = name len, gpa, plaintext len, digest
+    // count; segment = gpa, flag, len; step = kind, ns, 3 string lens.
+    SEVF_ASSIGN_OR_RETURN(u32 plan_count, readCount(r, 4 + 8 + 8 + 4, "plan"));
     tmpl.plan.reserve(plan_count);
     for (u32 i = 0; i < plan_count; ++i) {
         TemplateRegion region;
@@ -158,10 +173,7 @@ deserializeTemplate(ByteSpan data)
         SEVF_ASSIGN_OR_RETURN(ByteVec plaintext, readBytes64(r));
         region.plaintext =
             std::make_shared<const ByteVec>(std::move(plaintext));
-        SEVF_ASSIGN_OR_RETURN(u32 digests, r.u32le());
-        if (static_cast<u64>(digests) * 32 > r.remaining()) {
-            return errCorrupted("template file: digest count past end");
-        }
+        SEVF_ASSIGN_OR_RETURN(u32 digests, readCount(r, 32, "digest"));
         region.page_digests.reserve(digests);
         for (u32 d = 0; d < digests; ++d) {
             SEVF_ASSIGN_OR_RETURN(crypto::Sha256Digest digest, readDigest(r));
@@ -171,7 +183,7 @@ deserializeTemplate(ByteSpan data)
     }
 
     SEVF_ASSIGN_OR_RETURN(tmpl.snapshot.memory_size, r.u64le());
-    SEVF_ASSIGN_OR_RETURN(u32 seg_count, r.u32le());
+    SEVF_ASSIGN_OR_RETURN(u32 seg_count, readCount(r, 8 + 1 + 8, "segment"));
     tmpl.snapshot.segments.reserve(seg_count);
     for (u32 i = 0; i < seg_count; ++i) {
         memory::SnapshotSegment seg;
@@ -182,7 +194,7 @@ deserializeTemplate(ByteSpan data)
         seg.bytes = std::make_shared<const ByteVec>(std::move(bytes));
         tmpl.snapshot.segments.push_back(std::move(seg));
     }
-    SEVF_ASSIGN_OR_RETURN(u32 range_count, r.u32le());
+    SEVF_ASSIGN_OR_RETURN(u32 range_count, readCount(r, 16, "range"));
     tmpl.snapshot.validated.reserve(range_count);
     for (u32 i = 0; i < range_count; ++i) {
         memory::GpaRange range;
@@ -191,7 +203,8 @@ deserializeTemplate(ByteSpan data)
         tmpl.snapshot.validated.push_back(range);
     }
 
-    SEVF_ASSIGN_OR_RETURN(u32 step_count, r.u32le());
+    SEVF_ASSIGN_OR_RETURN(u32 step_count,
+                          readCount(r, 1 + 8 + 3 * 4, "step"));
     tmpl.steps.reserve(step_count);
     for (u32 i = 0; i < step_count; ++i) {
         sim::Step step;

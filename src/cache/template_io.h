@@ -3,12 +3,14 @@
  * Versioned binary (de)serialization of launch templates for the
  * optional on-disk cache tier (TemplateCache::setDiskDir).
  *
- * The format is integrity-checked only structurally (magic, bounds):
- * end-to-end integrity comes from the launch measurement itself — a
- * template whose payload or page digests were corrupted on disk replays
- * to a different measurement than the cold boot, so the warm launch is
- * rejected and the caller falls back to a cold build. The cache
- * therefore never has to trust the filesystem.
+ * The format is checked structurally (magic, bounds; every length and
+ * count against the bytes left before allocating, so a forged file is
+ * kCorrupted, not an allocation abort) and by an unkeyed, forgeable
+ * SHA-256 trailer. End-to-end integrity comes from the launch
+ * measurement itself — a template whose payload or page digests were
+ * altered replays to a different measurement than the cold boot, so
+ * the warm launch is rejected and the caller falls back to a cold
+ * build. The cache therefore never has to trust the filesystem.
  */
 #ifndef SEVF_CACHE_TEMPLATE_IO_H_
 #define SEVF_CACHE_TEMPLATE_IO_H_

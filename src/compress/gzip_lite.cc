@@ -206,7 +206,6 @@ GzipLiteCodec::decompress(ByteSpan stream) const
     }
 
     ByteVec out;
-    out.reserve(h->decompressed_size);
     for (;;) {
         Result<u32> sym = decoder->decode(bits);
         if (!sym.isOk()) {

@@ -167,6 +167,12 @@ Result<ByteVec>
 Lz4Codec::decompressBlock(ByteSpan block, u64 decompressed_size)
     SEVF_UNTRUSTED_INPUT
 {
+    // No input byte decodes to more than 255 output bytes, so a larger
+    // declared size is forged: reject it before allocating from it.
+    if (decompressed_size > u64{255} * block.size()) {
+        return errCorrupted("lz4: declared size exceeds what the block "
+                            "can encode");
+    }
     // Sized upfront so literals and matches land via memcpy into a flat
     // buffer instead of per-byte push_back through vector growth checks.
     ByteVec out(decompressed_size);

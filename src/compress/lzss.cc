@@ -135,6 +135,12 @@ LzssCodec::decompress(ByteSpan stream) const
     }
     ByteSpan body = *payload_r;
     const u64 out_size = h->decompressed_size;
+    // 17 bytes (a flag byte, eight 2-byte matches) decode to at most
+    // 8 * kMaxMatch = 144: reject a larger declared size as forged.
+    if (out_size > u64{8 * kMaxMatch} * body.size() / 17) {
+        return errCorrupted("lzss: declared size exceeds what the payload "
+                            "can encode");
+    }
 
     ByteVec out;
     out.reserve(out_size);

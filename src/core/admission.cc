@@ -5,18 +5,9 @@
 
 #include "base/parallel.h"
 #include "fault/fault.h"
-#include "obs/metrics.h"
+#include "obs/families.h"
 
 namespace sevf::core {
-
-namespace {
-
-inline constexpr const char *kShedHelp =
-    "Launches rejected with kBackpressure instead of queueing";
-inline constexpr const char *kQuotaHelp =
-    "Launches rejected with kQuotaExceeded (per-tenant quota)";
-
-} // namespace
 
 Result<LaunchResult>
 LaunchTicket::take()
@@ -55,13 +46,10 @@ AdmissionPipeline::AdmissionPipeline(Platform &platform,
       queue_limit_(config.queue_depth == 0 ? 1 : config.queue_depth),
       shed_on_full_(config.shed_on_full)
 {
-    // Eager registration: the rejection counters must appear
-    // (zero-valued) in every export so the obscheck doc gates cover
-    // them on fault-free runs.
-    (void)obs::Registry::instance().counter("sevf_admission_shed_total",
-                                            kShedHelp);
-    (void)obs::Registry::instance().counter(
-        "sevf_admission_rejected_quota_total", kQuotaHelp);
+    // Eager registration: the rejection counters are kServeExport rows,
+    // so every serve export lists them, zero-valued on fault-free runs.
+    obs::kAdmissionShed.metric();
+    obs::kAdmissionRejectedQuota.metric();
     unsigned n = config.workers != 0
                      ? config.workers
                      : std::clamp(base::hardwareThreads(), 2u, 8u);
@@ -166,11 +154,7 @@ AdmissionPipeline::submit(StrategyKind kind, LaunchRequest request,
         }
     }
     if (shed) {
-        if (obs::metricsEnabled()) {
-            obs::Registry::instance()
-                .counter("sevf_admission_shed_total", kShedHelp)
-                .add();
-        }
+        obs::kAdmissionShed.add();
         return reject(errBackpressure(
             "admission queue full: launch shed, retry later"));
     }
@@ -179,25 +163,13 @@ AdmissionPipeline::submit(StrategyKind kind, LaunchRequest request,
             "admission pipeline shutting down: launch not admitted"));
     }
     if (quota_rejected) {
-        if (obs::metricsEnabled()) {
-            obs::Registry::instance()
-                .counter("sevf_admission_rejected_quota_total", kQuotaHelp)
-                .add();
-        }
+        obs::kAdmissionRejectedQuota.add();
         return reject(errQuotaExceeded(
             "tenant " + tenant + " over its queued-launch quota"));
     }
     work_.notify_one();
-    if (obs::metricsEnabled()) {
-        obs::Registry::instance()
-            .counter("sevf_admission_submitted_total",
-                     "Launches admitted to the pipeline")
-            .add();
-        obs::Registry::instance()
-            .gauge("sevf_admission_queue_depth",
-                   "Launches waiting in the admission queue (peak)")
-            .setMax(static_cast<i64>(depth));
-    }
+    obs::kAdmissionSubmitted.add();
+    obs::kAdmissionQueueDepth.setMax(static_cast<i64>(depth));
     return ticket;
 }
 
@@ -262,11 +234,8 @@ AdmissionPipeline::workerLoop()
         }
         space_.notify_one();
         if (job.enqueue_ns != 0) {
-            obs::Registry::instance()
-                .histogram("sevf_admission_queue_wait_ns",
-                           "Wall nanoseconds a launch waited for a worker",
-                           obs::defaultTimeBoundsNs())
-                .observe(obs::wallNowNs() - job.enqueue_ns);
+            obs::kAdmissionQueueWaitNs.observe(obs::wallNowNs() -
+                                               job.enqueue_ns);
         }
 
         // One strategy instance per launch: the template-capture state
@@ -302,12 +271,7 @@ AdmissionPipeline::workerLoop()
         }
         // The freed in-flight slot may unblock a capped tenant's job.
         work_.notify_all();
-        if (obs::metricsEnabled()) {
-            obs::Registry::instance()
-                .counter("sevf_admission_completed_total",
-                         "Launches completed by the pipeline")
-                .add();
-        }
+        obs::kAdmissionCompleted.add();
     }
 }
 

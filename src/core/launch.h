@@ -95,10 +95,9 @@ struct LaunchRequest {
     /**
      * Host worker threads for the page-parallel launch pipeline
      * (pre-encryption, measurement page digests, out-of-band hashing,
-     * image staging). 0 = inherit the Platform knob; 1 = fully serial.
-     * The thread count is invisible in results: measurements,
-     * attestation reports, and simulated timings are bit-identical at
-     * every value.
+     * image staging). 0 and 1 both mean fully serial. The thread
+     * count is invisible in results: measurements, attestation
+     * reports, and simulated timings are bit-identical at every value.
      */
     unsigned host_threads = 0;
     /**
@@ -163,8 +162,7 @@ class BootStrategy
     std::string_view name() const { return strategyName(kind()); }
 
     /**
-     * Run one boot. Installs the effective host-thread count (request
-     * knob, falling back to the platform knob) for the duration of the
+     * Run one boot. Installs the request's host-thread count for the
      * launch, consults the platform's template cache (warm boot on a
      * hit, single-flight template capture on a miss), then runs the
      * strategy cold if no usable template exists.

@@ -39,14 +39,6 @@ class Platform
     Spa allocateSpaWindow(u64 size);
 
     /**
-     * Default host worker threads for launches on this platform; used
-     * when LaunchRequest::host_threads is 0. 1 (the default) keeps
-     * every launch fully serial.
-     */
-    unsigned hostThreads() const { return host_threads_; }
-    void setHostThreads(unsigned n) { host_threads_ = n == 0 ? 1 : n; }
-
-    /**
      * This platform's launch-template cache (cache/template_cache.h).
      * Strategies consult it on every launch unless the request opts
      * out; sevf_boot's --cache-* flags configure it.
@@ -60,7 +52,6 @@ class Platform
     std::unique_ptr<cache::TemplateCache> template_cache_;
     /** Atomic: concurrent launches allocate windows without a lock. */
     std::atomic<Spa> next_spa_{0x100000000ull};
-    unsigned host_threads_ = 1;
 };
 
 } // namespace sevf::core

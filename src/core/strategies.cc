@@ -22,7 +22,7 @@
 #include "guest/bootstrap_loader.h"
 #include "image/bzimage.h"
 #include "image/elf.h"
-#include "obs/metrics.h"
+#include "obs/families.h"
 #include "obs/span.h"
 #include "psp/psp.h"
 #include "verifier/verifier_binary.h"
@@ -820,14 +820,7 @@ namespace {
 void
 observeLaunchSim(const LaunchResult &result)
 {
-    if (!obs::metricsEnabled()) {
-        return;
-    }
-    static obs::Histogram &sim_ns = obs::Registry::instance().histogram(
-        "sevf_launch_sim_ns",
-        "Total simulated launch duration (attestation included)",
-        obs::defaultTimeBoundsNs());
-    sim_ns.observe(static_cast<u64>(result.trace.total().ns()));
+    obs::kLaunchSimNs.observe(static_cast<u64>(result.trace.total().ns()));
 }
 
 } // namespace
@@ -1026,17 +1019,10 @@ BootStrategy::launchFromTemplate(Platform &platform,
     result.verifier_stats.bytes_copied = t.verifier.bytes_copied;
     result.verifier_stats.bytes_hashed = t.verifier.bytes_hashed;
     result.verifier_stats.pagetable_bytes = t.verifier.pagetable_bytes;
-    if (obs::metricsEnabled()) {
-        // Sampled here rather than inside GuestMemory: materialization
-        // runs on TCB-reachable read paths, where the obs layer must
-        // not be called (tools/tcb-baseline.json).
-        static obs::Counter &materialized =
-            obs::Registry::instance().counter(
-                "sevf_cow_pages_materialized_total",
-                "Copy-on-write template pages copied into DRAM on "
-                "first touch during a warm launch");
-        materialized.add(vm.memory().cowMaterializedCount());
-    }
+    // Sampled here rather than inside GuestMemory: materialization runs
+    // on TCB-reachable read paths, where the obs layer must not be
+    // called (tools/tcb-baseline.json).
+    obs::kCowPagesMaterialized.add(vm.memory().cowMaterializedCount());
     if (request.keep_vm) {
         result.vm = vm_ptr;
     }
@@ -1047,16 +1033,11 @@ BootStrategy::launchFromTemplate(Platform &platform,
 Result<LaunchResult>
 BootStrategy::launch(Platform &platform, const LaunchRequest &request)
 {
-    unsigned threads = request.host_threads != 0 ? request.host_threads
-                                                 : platform.hostThreads();
     // RAII: the previous knob value is restored when the launch
-    // returns, so nested strategy invocations compose.
-    base::ScopedHostThreads scope(threads);
+    // returns, so nested strategy invocations compose. 0 means serial.
+    base::ScopedHostThreads scope(request.host_threads);
     SEVF_SPAN("launch", "strategy", strategyName(kind()));
-    obs::Registry::instance()
-        .counter("sevf_launch_total", "Completed launch attempts",
-                 {{"strategy", strategyName(kind())}})
-        .add();
+    obs::kLaunchTotal.add(strategyName(kind()));
 
     // Template-cache dispatch. KASLR launches draw per-launch entropy
     // by design and always boot cold.

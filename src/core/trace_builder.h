@@ -15,7 +15,7 @@
 
 #include <string>
 
-#include "obs/metrics.h"
+#include "obs/families.h"
 #include "obs/span.h"
 #include "sim/trace.h"
 #include "vmm/debug_port.h"
@@ -99,19 +99,9 @@ class TraceBuilder
                          static_cast<u64>(start.ns()),
                          static_cast<u64>(d.ns()));
         }
-        if (obs::metricsEnabled()) {
-            obs::Registry::instance()
-                .histogram("sevf_sim_step_ns",
-                           "Simulated duration of one charged boot step",
-                           obs::defaultTimeBoundsNs(),
-                           {{"kind", sim::stepKindName(kind)}})
-                .observe(static_cast<u64>(d.ns()));
-            obs::Registry::instance()
-                .counter("sevf_launch_phase_sim_ns_total",
-                         "Simulated nanoseconds charged per boot phase",
-                         {{"phase", phase}})
-                .add(static_cast<u64>(d.ns()));
-        }
+        obs::kSimStepNs.observe(sim::stepKindName(kind),
+                                static_cast<u64>(d.ns()));
+        obs::kLaunchPhaseSimNs.add(phase, static_cast<u64>(d.ns()));
     }
 
     void

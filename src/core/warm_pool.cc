@@ -3,7 +3,7 @@
 #include <unordered_set>
 
 #include "crypto/sha256.h"
-#include "obs/metrics.h"
+#include "obs/families.h"
 #include "obs/span.h"
 
 namespace sevf::core {
@@ -38,12 +38,7 @@ WarmPool::invoke(u64 seed)
     if (took_warm) {
         inv.warm = true;
         inv.startup_latency = resume_cost_;
-        if (obs::metricsEnabled()) {
-            static obs::Counter &hits = obs::Registry::instance().counter(
-                "sevf_warm_pool_hits_total",
-                "Warm-pool invocations served from an idle attested VM");
-            hits.add();
-        }
+        obs::kWarmPoolHits.add();
     } else {
         // Cold boot outside the pool lock, so concurrent cold starts
         // overlap (and dedup through the template cache).
@@ -56,13 +51,7 @@ WarmPool::invoke(u64 seed)
         }
         inv.warm = false;
         inv.startup_latency = cold->bootTime();
-        if (obs::metricsEnabled()) {
-            static obs::Counter &cold_starts =
-                obs::Registry::instance().counter(
-                    "sevf_warm_pool_cold_starts_total",
-                    "Warm-pool invocations that required a full launch");
-            cold_starts.add();
-        }
+        obs::kWarmPoolColdStarts.add();
         base::MutexLock lock(mu_);
         ++stats_.cold_starts;
         if (stats_.resident_vms < capacity_) {

@@ -2,7 +2,7 @@
 
 #include <cstdlib>
 
-#include "obs/metrics.h"
+#include "obs/families.h"
 #include "obs/span.h"
 
 namespace sevf::fault {
@@ -204,21 +204,12 @@ FaultInjector::instance()
 
 FaultInjector::FaultInjector()
 {
-    // Eagerly register the fault metric families so every export lists
-    // them (zero-valued on fault-free runs) and the doc-drift gates in
-    // sevf_obscheck see them on every CI boot — the same pattern as the
-    // cache metrics.
-    obs::Registry &reg = obs::Registry::instance();
-    for (FaultSite site :
-         {FaultSite::kPspCommand, FaultSite::kCacheDiskRead,
-          FaultSite::kCacheDiskWrite, FaultSite::kDramMmap,
-          FaultSite::kAdmissionEnqueue, FaultSite::kServiceEnqueue}) {
-        obs::Labels labels{{"site", faultSiteName(site)}};
-        (void)reg.counter("sevf_fault_checks_total",
-                          "Fault-injection site occurrences consulted",
-                          labels);
-        (void)reg.counter("sevf_fault_injected_total",
-                          "Faults injected by the armed plan", labels);
+    // Eager registration: the fault families are kBootExport rows, so
+    // every export lists them, zero-valued on fault-free runs.
+    for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
+        const char *site = faultSiteName(static_cast<FaultSite>(i));
+        obs::kFaultChecks.metric(site);
+        obs::kFaultInjected.metric(site);
     }
 }
 
@@ -274,18 +265,9 @@ FaultInjector::check(FaultSite site, std::string_view detail)
     }
     // Metrics/spans after the injector lock is released: obs takes its
     // own registry/trace locks and must not nest under FaultInjector::mu.
-    if (obs::metricsEnabled()) {
-        obs::Labels labels{{"site", faultSiteName(site)}};
-        obs::Registry::instance()
-            .counter("sevf_fault_checks_total",
-                     "Fault-injection site occurrences consulted", labels)
-            .add();
-        if (inject) {
-            obs::Registry::instance()
-                .counter("sevf_fault_injected_total",
-                         "Faults injected by the armed plan", labels)
-                .add();
-        }
+    obs::kFaultChecks.add(faultSiteName(site));
+    if (inject) {
+        obs::kFaultInjected.add(faultSiteName(site));
     }
     if (!inject) {
         return Status::ok();

@@ -2,21 +2,10 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
+#include "obs/families.h"
 #include "obs/span.h"
 
 namespace sevf::fault {
-
-namespace {
-
-inline constexpr const char *kAttemptsHelp =
-    "Attempts spent inside retry loops (first try included)";
-inline constexpr const char *kBackoffHelp =
-    "Virtual backoff nanoseconds charged between retries";
-inline constexpr const char *kExhaustedHelp =
-    "Retry loops that ran out of budget on a transient error";
-
-} // namespace
 
 u64
 backoffDelayNs(const RetryPolicy &policy, u32 next_attempt, Rng &rng)
@@ -48,11 +37,9 @@ backoffDelayNs(const RetryPolicy &policy, u32 next_attempt, Rng &rng)
 void
 registerRetryMetrics(const char *op)
 {
-    obs::Registry &reg = obs::Registry::instance();
-    obs::Labels labels{{"op", op}};
-    (void)reg.counter("sevf_retry_attempts_total", kAttemptsHelp, labels);
-    (void)reg.counter("sevf_retry_backoff_ns_total", kBackoffHelp, labels);
-    (void)reg.counter("sevf_retry_exhausted_total", kExhaustedHelp, labels);
+    obs::kRetryAttempts.metric(op);
+    obs::kRetryBackoffNs.metric(op);
+    obs::kRetryExhausted.metric(op);
 }
 
 void
@@ -64,20 +51,12 @@ noteRetryOutcome(const char *op, u32 attempts, u64 backoff_ns,
         // path must not grow a span per PSP command.
         SEVF_SPAN("retry.backoff", "op", op);
     }
-    if (!obs::metricsEnabled()) {
-        return;
-    }
-    obs::Registry &reg = obs::Registry::instance();
-    obs::Labels labels{{"op", op}};
-    reg.counter("sevf_retry_attempts_total", kAttemptsHelp, labels)
-        .add(attempts);
+    obs::kRetryAttempts.add(op, attempts);
     if (backoff_ns != 0) {
-        reg.counter("sevf_retry_backoff_ns_total", kBackoffHelp, labels)
-            .add(backoff_ns);
+        obs::kRetryBackoffNs.add(op, backoff_ns);
     }
     if (exhausted) {
-        reg.counter("sevf_retry_exhausted_total", kExhaustedHelp, labels)
-            .add();
+        obs::kRetryExhausted.add(op);
     }
 }
 

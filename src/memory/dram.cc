@@ -5,7 +5,7 @@
 #endif
 
 #include "fault/fault.h"
-#include "obs/metrics.h"
+#include "obs/families.h"
 
 namespace sevf::memory {
 
@@ -33,13 +33,7 @@ DramBuffer::DramBuffer(u64 size) : size_(size)
 #else
     (void)injected;
 #endif
-    if (obs::metricsEnabled()) {
-        obs::Registry::instance()
-            .counter("sevf_dram_mmap_fallback_total",
-                     "Guest DRAM allocations that fell back from mmap to "
-                     "an eager-zeroed heap buffer")
-            .add();
-    }
+    obs::kDramMmapFallback.add();
     fallback_.resize(size_, 0);
     data_ = fallback_.data();
 }

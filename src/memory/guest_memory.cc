@@ -6,7 +6,7 @@
 
 #include "base/logging.h"
 #include "base/parallel.h"
-#include "obs/metrics.h"
+#include "obs/families.h"
 #include "obs/span.h"
 
 namespace sevf::memory {
@@ -149,12 +149,12 @@ GuestMemory::mapCowPages(Gpa gpa, std::shared_ptr<const ByteVec> data,
             static_cast<u32>(std::min<u64>(kPageSize, data->size() - off));
         cow_[gpa / kPageSize + i] = CowSource{data, off, take, encrypted};
     }
-    if (obs::metricsEnabled()) {
-        static obs::Counter &mapped = obs::Registry::instance().counter(
-            "sevf_cow_pages_mapped_total",
-            "Pages mapped as copy-on-write views of a cached template");
-        mapped.add(pages);
-    }
+    // Mapping is counted here. Materialization is counted once per
+    // launch by core/strategies.cc instead, because it runs on
+    // TCB-reachable read paths that must make no obs calls
+    // (tools/tcb-baseline.json lists them, with the line of each, so an
+    // edit above them changes the baseline).
+    obs::kCowPagesMapped.add(pages);
     return Status::ok();
 }
 
@@ -304,16 +304,16 @@ GuestMemory::hostWrite(Gpa gpa, ByteSpan data)
 {
     SEVF_SPAN("guest_memory.host_write", "bytes",
               static_cast<u64>(data.size()));
-    if (obs::metricsEnabled()) {
-        static obs::Counter &bytes = obs::Registry::instance().counter(
-            "sevf_guest_memory_host_write_bytes_total",
-            "Plaintext bytes staged into guest memory by the host");
-        static obs::Counter &calls = obs::Registry::instance().counter(
-            "sevf_guest_memory_host_write_calls_total",
-            "hostWrite staging calls");
-        bytes.add(data.size());
-        calls.add();
-    }
+
+    // Staging volume, read by perfbench's memory.host_write_mb row.
+    // Counted before the range check, so the counters describe what the
+    // host asked to stage, rejected writes included. hostWrite is the
+    // host's side of guest memory and outside the TCB closure, so it
+    // may call obs; guestWrite and guestRead below are inside it
+    // (tools/tcb-baseline.json) and make no obs calls.
+    obs::kHostWriteBytes.add(data.size());
+    obs::kHostWriteCalls.add();
+
     SEVF_RETURN_IF_ERROR(checkRange(gpa, data.size()));
     // The host staging path writes plaintext the host can also read
     // back: labelled bytes arriving here are a confidentiality leak.

@@ -3,9 +3,9 @@
  * Metric exporters: Prometheus text exposition and a JSON snapshot.
  *
  * Both render the same Registry::snapshot(), so a metric appears in
- * either export iff it was registered — docs/OBSERVABILITY.md lists the
- * full inventory and tools/sevf_obscheck.cc enforces that the two never
- * drift apart. The Chrome-trace exporter lives in obs/span.h; the file
+ * either export iff it was registered — obs/families.h declares the
+ * full inventory, and tools/sevf_obscheck.cc holds docs/OBSERVABILITY.md
+ * to it. The Chrome-trace exporter lives in obs/span.h; the file
  * writers here are what `sevf_boot --trace-out/--metrics-out` and the
  * bench ObsSession hook call.
  */

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <type_traits>
+#include <variant>
 
 #include "base/logging.h"
 #include "base/mutex.h"
+#include "obs/families.h"
 
 namespace sevf::obs {
 namespace {
@@ -104,58 +107,34 @@ Histogram::reset()
 
 namespace {
 
-/** Deterministic registry key: name plus the rendered label set. */
-std::string
-metricKey(std::string_view name, const Labels &labels)
+/**
+ * Shared duration buckets (nanoseconds): 1us .. ~17s in powers of 4,
+ * 13 buckets covering microsecond kernel calls and multi-second
+ * simulated OVMF boots.
+ */
+std::vector<u64>
+defaultTimeBoundsNs()
 {
-    std::string key(name);
-    key += '{';
-    for (const auto &[k, v] : labels) {
-        key += k;
-        key += '=';
-        key += v;
-        key += ',';
+    std::vector<u64> bounds;
+    for (u64 b = 1000; b <= 17'179'869'184ULL; b *= 4) {
+        bounds.push_back(b);
     }
-    key += '}';
-    return key;
+    return bounds;
 }
 
 struct Entry {
-    MetricKind kind;
-    std::string name;
-    std::string help;
+    const Family *family = nullptr;
     Labels labels;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
+    std::variant<Counter, Gauge, Histogram> metric;
 };
 
 } // namespace
 
 struct Registry::Impl {
     mutable base::Mutex mu;
-    // std::map keeps snapshot order deterministic by key.
+    // Keyed by name{label=value}; std::map keeps snapshot order
+    // deterministic.
     std::map<std::string, Entry> entries SEVF_GUARDED_BY(mu);
-
-    Entry &
-    findOrCreate(std::string_view name, std::string_view help,
-                 Labels labels, MetricKind kind) SEVF_REQUIRES(mu)
-    {
-        std::string key = metricKey(name, labels);
-        auto it = entries.find(key);
-        if (it != entries.end()) {
-            if (it->second.kind != kind) {
-                panic("metric re-registered with different kind: ", key);
-            }
-            return it->second;
-        }
-        Entry e;
-        e.kind = kind;
-        e.name = std::string(name);
-        e.help = std::string(help);
-        e.labels = std::move(labels);
-        return entries.emplace(std::move(key), std::move(e)).first->second;
-    }
 };
 
 Registry &
@@ -172,45 +151,49 @@ Registry::impl() const
     return impl;
 }
 
-Counter &
-Registry::counter(std::string_view name, std::string_view help, Labels labels)
+template <class M>
+M &
+Registry::get(const Family &family, std::string_view value)
 {
+    if (family.label.empty() && !value.empty()) {
+        panic("unlabelled metric family given a label value: ",
+              family.name);
+    }
+    // name{key=value,} for a labelled family, name{} otherwise.
+    std::string key(family.name);
+    key += '{';
+    if (!family.label.empty()) {
+        key.append(family.label).append("=").append(value).append(",");
+    }
+    key += '}';
+
     Impl &i = impl();
     base::MutexLock lock(i.mu);
-    Entry &e = i.findOrCreate(name, help, std::move(labels),
-                              MetricKind::kCounter);
-    if (!e.counter) {
-        e.counter = std::make_unique<Counter>();
+    auto [it, fresh] = i.entries.try_emplace(std::move(key));
+    Entry &e = it->second;
+    if (fresh) {
+        e.family = &family;
+        if (!family.label.empty()) {
+            e.labels = {{std::string(family.label), std::string(value)}};
+        }
+        if constexpr (std::is_same_v<M, Histogram>) {
+            e.metric.emplace<Histogram>(defaultTimeBoundsNs());
+        } else {
+            e.metric.emplace<M>();
+        }
     }
-    return *e.counter;
+    M *m = std::get_if<M>(&e.metric);
+    if (m == nullptr) {
+        panic("metric family re-registered with a different kind: ",
+              family.name);
+    }
+    return *m;
 }
 
-Gauge &
-Registry::gauge(std::string_view name, std::string_view help, Labels labels)
-{
-    Impl &i = impl();
-    base::MutexLock lock(i.mu);
-    Entry &e =
-        i.findOrCreate(name, help, std::move(labels), MetricKind::kGauge);
-    if (!e.gauge) {
-        e.gauge = std::make_unique<Gauge>();
-    }
-    return *e.gauge;
-}
-
-Histogram &
-Registry::histogram(std::string_view name, std::string_view help,
-                    std::vector<u64> bounds, Labels labels)
-{
-    Impl &i = impl();
-    base::MutexLock lock(i.mu);
-    Entry &e = i.findOrCreate(name, help, std::move(labels),
-                              MetricKind::kHistogram);
-    if (!e.histogram) {
-        e.histogram = std::make_unique<Histogram>(std::move(bounds));
-    }
-    return *e.histogram;
-}
+template Counter &Registry::get<Counter>(const Family &, std::string_view);
+template Gauge &Registry::get<Gauge>(const Family &, std::string_view);
+template Histogram &Registry::get<Histogram>(const Family &,
+                                             std::string_view);
 
 std::vector<MetricSnapshot>
 Registry::snapshot() const
@@ -221,20 +204,16 @@ Registry::snapshot() const
     out.reserve(i.entries.size());
     for (const auto &[key, e] : i.entries) {
         MetricSnapshot snap;
-        snap.name = e.name;
-        snap.help = e.help;
-        snap.kind = e.kind;
+        snap.name = std::string(e.family->name);
+        snap.help = std::string(e.family->help);
+        snap.kind = e.family->kind;
         snap.labels = e.labels;
-        switch (e.kind) {
-        case MetricKind::kCounter:
-            snap.counter_value = e.counter->value();
-            break;
-        case MetricKind::kGauge:
-            snap.gauge_value = e.gauge->value();
-            break;
-        case MetricKind::kHistogram:
-            snap.histogram = e.histogram->snapshot();
-            break;
+        if (const Counter *c = std::get_if<Counter>(&e.metric)) {
+            snap.counter_value = c->value();
+        } else if (const Gauge *g = std::get_if<Gauge>(&e.metric)) {
+            snap.gauge_value = g->value();
+        } else {
+            snap.histogram = std::get<Histogram>(e.metric).snapshot();
         }
         out.push_back(std::move(snap));
     }
@@ -247,31 +226,11 @@ Registry::reset()
     Impl &i = impl();
     base::MutexLock lock(i.mu);
     for (auto &[key, e] : i.entries) {
-        if (e.counter) {
-            e.counter->reset();
-        }
-        if (e.gauge) {
-            e.gauge->reset();
-        }
-        if (e.histogram) {
-            e.histogram->reset();
-        }
+        std::visit([](auto &m) { m.reset(); }, e.metric);
     }
 }
 
-// ---- Convenience ---------------------------------------------------------
-
-std::vector<u64>
-defaultTimeBoundsNs()
-{
-    // 1us .. ~17s in powers of 4: covers microsecond kernel calls and
-    // multi-second simulated OVMF boots with 13 buckets.
-    std::vector<u64> bounds;
-    for (u64 b = 1000; b <= 17'179'869'184ULL; b *= 4) {
-        bounds.push_back(b);
-    }
-    return bounds;
-}
+// ---- Kernel metrics ------------------------------------------------------
 
 namespace {
 
@@ -300,15 +259,8 @@ kernelMetrics(const char *kernel)
     if (it != cache.entries.end()) {
         return *it->second;
     }
-    Labels labels = {{"kernel", kernel}};
     auto metrics = std::make_unique<KernelMetrics>(KernelMetrics{
-        Registry::instance().counter(
-            "sevf_kernel_bytes_total",
-            "Bytes processed by a data-path kernel", labels),
-        Registry::instance().counter(
-            "sevf_kernel_wall_ns_total",
-            "Wall-clock nanoseconds spent inside a data-path kernel",
-            labels)});
+        kKernelBytes.metric(kernel), kKernelWallNs.metric(kernel)});
     return *cache.entries.emplace(kernel, std::move(metrics)).first->second;
 }
 

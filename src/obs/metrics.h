@@ -19,19 +19,17 @@
  *    so parallelFor workers hammering the same kernel counter never
  *    contend on a cache line. Reads aggregate across shards and are
  *    approximate only while writers are mid-flight.
- *  - Registration is separate from mutation. Looking a metric up takes a
- *    registry mutex; call sites cache the returned reference in a
- *    function-local static so the steady state never locks. Metrics are
- *    identified by name + label set (Prometheus style) and live for the
- *    process lifetime; registering the same identity twice returns the
- *    same object. The registry's mutex-protected state carries
- *    SEVF_GUARDED_BY annotations (base/thread_annotations.h) checked by
- *    Clang -Wthread-safety and sevf_lint's guarded-by pass.
+ *  - Declared once. Every family is one row of obs/families.h; a site
+ *    names the row (FamilyOf below) and never looks anything up while
+ *    metrics are off. Series live for the process lifetime. The
+ *    registry's mutex-protected state carries SEVF_GUARDED_BY
+ *    annotations (base/thread_annotations.h) checked by Clang
+ *    -Wthread-safety and sevf_lint's guarded-by pass.
  *
  * Exporters (Prometheus text, JSON snapshot) live in obs/export.h; span
  * tracing lives in obs/span.h. docs/OBSERVABILITY.md is the operator
- * reference for every metric registered by the tree, and the ci.sh
- * doc-drift gate fails when a registered name is missing from it.
+ * reference for every family in obs/families.h, and sevf_obscheck
+ * --docs fails when one is missing from it.
  */
 #ifndef SEVF_OBS_METRICS_H_
 #define SEVF_OBS_METRICS_H_
@@ -39,6 +37,7 @@
 #include <atomic>
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -84,6 +83,8 @@ struct alignas(64) ShardCell {
 class Counter
 {
   public:
+    static constexpr MetricKind kKind = MetricKind::kCounter;
+
     void
     add(u64 n = 1)
     {
@@ -126,6 +127,8 @@ class Counter
 class Gauge
 {
   public:
+    static constexpr MetricKind kKind = MetricKind::kGauge;
+
     void
     set(i64 v)
     {
@@ -186,6 +189,8 @@ struct HistogramSnapshot {
 class Histogram
 {
   public:
+    static constexpr MetricKind kKind = MetricKind::kHistogram;
+
     explicit Histogram(std::vector<u64> bounds);
 
     void
@@ -227,28 +232,35 @@ struct MetricSnapshot {
     HistogramSnapshot histogram;
 };
 
+/** The CI gates that require a family (bits of Family::contracts). */
+enum Contract : unsigned {
+    kNoContract = 0,
+    kBootExport = 1,  //!< present in every sevf_boot export
+    kServeExport = 2, //!< present in every sevf_serve export
+    kRunbook = 4,     //!< documented in docs/RELIABILITY.md
+};
+
+/** Everything an export says about one metric family. */
+struct Family {
+    std::string_view name;
+    MetricKind kind;
+    /** The family's one label key; empty when it has none. */
+    std::string_view label;
+    unsigned contracts;
+    std::string_view help;
+};
+
 /**
- * The process-wide registry. Metrics are keyed by (name, labels); the
- * first registration creates the metric and later ones return the same
- * object (a kind mismatch on an existing identity panics — it is a
- * programming error two sites could otherwise silently share). Call
- * sites cache the reference:
- *
- *   static obs::Counter &hits = obs::Registry::instance().counter(
- *       "sevf_warm_pool_hits_total", "Warm-pool keep-alive hits");
- *   hits.add();
+ * The process-wide registry, keyed by (family name, label value). The
+ * first lookup creates the metric; two families sharing a name with
+ * different kinds panic. Histograms share duration buckets of 1us ..
+ * ~17s in powers of four. Entries point at their Family, so families
+ * are namespace-scope objects that outlive every lookup.
  */
 class Registry
 {
   public:
     static Registry &instance();
-
-    Counter &counter(std::string_view name, std::string_view help,
-                     Labels labels = {});
-    Gauge &gauge(std::string_view name, std::string_view help,
-                 Labels labels = {});
-    Histogram &histogram(std::string_view name, std::string_view help,
-                         std::vector<u64> bounds, Labels labels = {});
 
     /**
      * Snapshot every registered metric, sorted by (name, labels) so
@@ -260,16 +272,112 @@ class Registry
     void reset();
 
   private:
+    template <class M>
+    friend class FamilyOf;
+
     Registry() = default;
     struct Impl;
     Impl &impl() const;
+
+    /** The metric for (@p family, label @p value); takes the lock. */
+    template <class M>
+    M &get(const Family &family, std::string_view value);
 };
 
 /**
- * Shared default duration buckets (nanoseconds): 1us .. ~17s in powers
- * of four. Wide enough for both wall kernels and simulated phases.
+ * One row of obs/families.h, for metric type @p M. A site is one call
+ * naming the row; a labelled family takes the label value first:
+ *
+ *   obs::kWarmPoolHits.add();
+ *   obs::kLaunchTotal.add(strategyName(kind));
+ *   obs::kPspGateWaitNs.observe(waited_ns);
+ *
+ * Those calls look nothing up while metrics are off. metric() registers
+ * a series (eager sites, tests). An unlabelled family caches its
+ * series, so only a labelled lookup takes the registry lock.
  */
-std::vector<u64> defaultTimeBoundsNs();
+template <class M>
+class FamilyOf : public Family
+{
+  public:
+    constexpr FamilyOf(std::string_view name, std::string_view label,
+                       unsigned contracts, std::string_view help)
+        : Family{name, M::kKind, label, contracts, help}
+    {
+    }
+
+    /** The series for label @p value (none when unlabelled). */
+    M &
+    metric(std::string_view value = {}) const
+    {
+        if (!label.empty()) {
+            return Registry::instance().get<M>(*this, value);
+        }
+        M *m = cached_.load(std::memory_order_acquire);
+        if (m == nullptr) {
+            m = &Registry::instance().get<M>(*this, value);
+            cached_.store(m, std::memory_order_release);
+        }
+        return *m;
+    }
+
+  private:
+    mutable std::atomic<M *> cached_{nullptr};
+};
+
+class CounterFamily : public FamilyOf<Counter>
+{
+  public:
+    using FamilyOf::FamilyOf;
+
+    void add(u64 n = 1) const { add({}, n); }
+
+    void
+    add(std::string_view value, u64 n = 1) const
+    {
+        if (metricsEnabled()) {
+            metric(value).add(n);
+        }
+    }
+};
+
+class GaugeFamily : public FamilyOf<Gauge>
+{
+  public:
+    using FamilyOf::FamilyOf;
+
+    void
+    set(i64 v) const
+    {
+        if (metricsEnabled()) {
+            metric().set(v);
+        }
+    }
+
+    void
+    setMax(i64 v) const
+    {
+        if (metricsEnabled()) {
+            metric().setMax(v);
+        }
+    }
+};
+
+class HistogramFamily : public FamilyOf<Histogram>
+{
+  public:
+    using FamilyOf::FamilyOf;
+
+    void observe(u64 v) const { observe({}, v); }
+
+    void
+    observe(std::string_view value, u64 v) const
+    {
+        if (metricsEnabled()) {
+            metric(value).observe(v);
+        }
+    }
+};
 
 /** The (bytes, ns) counter pair behind one named kernel. */
 struct KernelMetrics {

@@ -6,6 +6,7 @@
 #include "base/json.h"
 #include "base/mutex.h"
 #include "base/parallel.h"
+#include "obs/families.h"
 
 namespace sevf::obs {
 namespace {
@@ -16,15 +17,6 @@ std::atomic<u64> g_next_launch_id{1};
 
 /** The wall span currently open on this thread (parent for new spans). */
 thread_local u64 tl_current_span = 0;
-
-Counter &
-droppedCounter()
-{
-    static Counter &c = Registry::instance().counter(
-        "sevf_trace_events_dropped_total",
-        "Trace events discarded because the log hit its size cap");
-    return c;
-}
 
 // ---- parallelFor context propagation -------------------------------------
 //
@@ -109,7 +101,7 @@ TraceLog::record(TraceEvent event)
     Impl &i = impl();
     base::MutexLock lock(i.mu);
     if (i.events.size() >= kMaxEvents) {
-        droppedCounter().add();
+        kTraceEventsDropped.add();
         return;
     }
     i.events.push_back(std::move(event));

@@ -8,7 +8,7 @@
 #include "crypto/sha256.h"
 #include "crypto/xex.h"
 #include "fault/fault.h"
-#include "obs/metrics.h"
+#include "obs/families.h"
 #include "obs/span.h"
 
 namespace sevf::psp {
@@ -44,15 +44,8 @@ TicketGate::enter()
         }
     }
     if (start_ns != 0) {
-        static obs::Histogram &wait = obs::Registry::instance().histogram(
-            "sevf_psp_gate_wait_ns",
-            "Wall nanoseconds a command waited for its PSP queue turn",
-            obs::defaultTimeBoundsNs());
-        static obs::Gauge &gate_depth = obs::Registry::instance().gauge(
-            "sevf_psp_gate_depth",
-            "Commands queued ahead at PSP gate entry (peak)");
-        wait.observe(obs::wallNowNs() - start_ns);
-        gate_depth.setMax(static_cast<i64>(depth));
+        obs::kPspGateWaitNs.observe(obs::wallNowNs() - start_ns);
+        obs::kPspGateDepth.setMax(static_cast<i64>(depth));
     }
 }
 
@@ -84,9 +77,8 @@ Psp::Psp(std::string chip_id, KeyServer &key_server, u64 seed)
     if (!provisioned.isOk()) {
         fatal("PSP chip provisioning failed: ", provisioned.toString());
     }
-    // Eagerly register the per-command retry families so they appear
-    // zero-valued in every export (the obscheck doc-drift gates run on
-    // fault-free boots).
+    // Eager registration: the retry families are kBootExport rows, so
+    // every export lists them, zero-valued on fault-free boots.
     for (const char *op :
          {"launch_start", "launch_update_data",
           "launch_update_data_premeasured", "launch_update_vmsa",
@@ -133,19 +125,9 @@ void
 Psp::observe(check::PspCommand cmd, GuestHandle handle,
              const Status &verdict) const
 {
-    if (obs::metricsEnabled()) {
-        obs::Registry::instance()
-            .counter("sevf_psp_commands_total",
-                     "PSP launch commands issued (any outcome)",
-                     {{"cmd", check::pspCommandName(cmd)}})
-            .add();
-        if (!verdict.isOk()) {
-            obs::Registry::instance()
-                .counter("sevf_psp_command_errors_total",
-                         "PSP launch commands the device rejected",
-                         {{"cmd", check::pspCommandName(cmd)}})
-                .add();
-        }
+    obs::kPspCommands.add(check::pspCommandName(cmd));
+    if (!verdict.isOk()) {
+        obs::kPspCommandErrors.add(check::pspCommandName(cmd));
     }
     command_log_.record(cmd, handle, verdict);
     if (verdict.isOk()) {

@@ -4,40 +4,22 @@
 
 #include "cache/template_cache.h"
 #include "fault/fault.h"
-#include "obs/metrics.h"
+#include "obs/families.h"
 #include "obs/span.h"
 
 namespace sevf::service {
 
 namespace {
 
-inline constexpr const char *kSubmittedHelp =
-    "Launches submitted through the launch service, per tenant";
-inline constexpr const char *kCompletedHelp =
-    "Launch-service launches that booted successfully, per tenant";
-inline constexpr const char *kFailedHelp =
-    "Launch-service launches that failed after dispatch, per tenant";
-inline constexpr const char *kRejectedHelp =
-    "Launch-service launches rejected before dispatch (unknown tenant, "
-    "quota, shed, injected fault), per tenant";
-inline constexpr const char *kLatencyHelp =
-    "Submit-to-resolution wall nanoseconds, per tenant";
-
 /** Eagerly register @p tenant's service families (zero-valued export). */
 void
 registerTenantMetrics(const std::string &tenant)
 {
-    obs::Registry &reg = obs::Registry::instance();
-    obs::Labels labels{{"tenant", tenant}};
-    (void)reg.counter("sevf_service_submitted_total", kSubmittedHelp,
-                      labels);
-    (void)reg.counter("sevf_service_completed_total", kCompletedHelp,
-                      labels);
-    (void)reg.counter("sevf_service_failed_total", kFailedHelp, labels);
-    (void)reg.counter("sevf_service_rejected_total", kRejectedHelp,
-                      labels);
-    (void)reg.histogram("sevf_service_latency_ns", kLatencyHelp,
-                        obs::defaultTimeBoundsNs(), labels);
+    obs::kServiceSubmitted.metric(tenant);
+    obs::kServiceCompleted.metric(tenant);
+    obs::kServiceFailed.metric(tenant);
+    obs::kServiceRejected.metric(tenant);
+    obs::kServiceLatencyNs.metric(tenant);
 }
 
 } // namespace
@@ -93,14 +75,11 @@ LaunchService::submit(const std::string &tenant, core::StrategyKind kind,
     // Unregistered ids all count under the empty-id series, which no
     // tenant can register: caller-chosen ids never mint new series, and
     // every series keeps submitted == completed + failed + rejected.
-    obs::Labels labels{{"tenant", known ? tenant : std::string()}};
-    obs::Registry &reg = obs::Registry::instance();
-    reg.counter("sevf_service_submitted_total", kSubmittedHelp, labels)
-        .add();
+    std::string series = known ? tenant : std::string();
+    obs::kServiceSubmitted.add(series);
 
     auto rejected = [&](Status error) {
-        reg.counter("sevf_service_rejected_total", kRejectedHelp, labels)
-            .add();
+        obs::kServiceRejected.add(series);
         return core::AdmissionPipeline::rejectedTicket(std::move(error));
     };
 
@@ -121,26 +100,18 @@ LaunchService::submit(const std::string &tenant, core::StrategyKind kind,
     // ticket outcomes (core/admission.h).
     return pipeline_.submit(
         kind, std::move(request), tenant,
-        [labels, t0](const Result<core::LaunchResult> &result) {
-            obs::Registry &r = obs::Registry::instance();
+        [series, t0](const Result<core::LaunchResult> &result) {
             if (result.isOk()) {
-                r.counter("sevf_service_completed_total", kCompletedHelp,
-                          labels)
-                    .add();
+                obs::kServiceCompleted.add(series);
             } else if (result.status().code() ==
                            ErrorCode::kQuotaExceeded ||
                        result.status().code() ==
                            ErrorCode::kBackpressure) {
-                r.counter("sevf_service_rejected_total", kRejectedHelp,
-                          labels)
-                    .add();
+                obs::kServiceRejected.add(series);
             } else {
-                r.counter("sevf_service_failed_total", kFailedHelp, labels)
-                    .add();
+                obs::kServiceFailed.add(series);
             }
-            r.histogram("sevf_service_latency_ns", kLatencyHelp,
-                        obs::defaultTimeBoundsNs(), labels)
-                .observe(obs::wallNowNs() - t0);
+            obs::kServiceLatencyNs.observe(series, obs::wallNowNs() - t0);
         });
 }
 

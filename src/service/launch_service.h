@@ -19,8 +19,7 @@
  * "service.enqueue" span marks each submit on the wall track. All
  * families are registered eagerly, for tenant="" at construction and
  * for each tenant when it registers, so exports list them zero-valued
- * and the obscheck doc-drift gate covers them
- * (tools/sevf_obscheck.cc --service).
+ * (kServeExport rows: sevf_obscheck --service requires them).
  *
  * The whole service layer stays OUTSIDE the measured TCB: it decides
  * when launches run and who pays for cache bytes, never what gets

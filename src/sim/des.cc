@@ -4,7 +4,7 @@
 #include <queue>
 
 #include "base/logging.h"
-#include "obs/metrics.h"
+#include "obs/families.h"
 #include "obs/span.h"
 
 namespace sevf::sim {
@@ -114,14 +114,7 @@ replayConcurrent(const std::vector<BootTrace> &traces, i64 stagger_ns)
                     obs::simCounter(obs_session, "psp_queue_depth",
                                     static_cast<u64>(cur.clock.ns()), depth);
                 }
-                if (metrics_on) {
-                    obs::Registry::instance()
-                        .histogram("sevf_psp_wait_ns",
-                                   "Virtual time a PSP command spent queued "
-                                   "behind other guests",
-                                   obs::defaultTimeBoundsNs())
-                        .observe(static_cast<u64>(waited.ns()));
-                }
+                obs::kPspWaitNs.observe(static_cast<u64>(waited.ns()));
             }
             cur.clock = done;
             break;
@@ -131,16 +124,8 @@ replayConcurrent(const std::vector<BootTrace> &traces, i64 stagger_ns)
         ready.push(cur);
     }
 
-    if (metrics_on) {
-        obs::Registry::instance()
-            .gauge("sevf_psp_queue_depth",
-                   "PSP queue depth at the last sampled arrival")
-            .set(last_depth);
-        obs::Registry::instance()
-            .gauge("sevf_psp_queue_depth_peak",
-                   "Peak PSP queue depth over the last replay")
-            .setMax(peak_depth);
-    }
+    obs::kPspQueueDepth.set(last_depth);
+    obs::kPspQueueDepthPeak.setMax(peak_depth);
     if (obs_session != 0 && peak_depth > 0) {
         obs::simCounter(obs_session, "psp_queue_depth",
                         static_cast<u64>(psp.freeAt().ns()), 0);

@@ -16,6 +16,7 @@
 
 #include "cache/launch_key.h"
 #include "cache/template_cache.h"
+#include "cache/template_io.h"
 #include "core/admission.h"
 #include "core/drr_scheduler.h"
 #include "core/launch.h"
@@ -585,6 +586,51 @@ TEST_F(DiskCacheTest, TornEntryIsCountedRepairedAndRecovered)
     EXPECT_TRUE(warm->cache_hit);
     EXPECT_EQ(warm->measurement, cold_measurement);
     EXPECT_EQ(platform.templateCache().stats().disk_errors, 0u);
+}
+
+// ===================================================================
+// Forged template files
+// ===================================================================
+
+/**
+ * Decode an empty template whose u32 count @p from_end bytes before the
+ * trailer is set to 0xFFFFFFFF, re-sealed with a valid SHA-256 trailer.
+ * The trailer is unkeyed, so anyone who can write the cache directory
+ * can produce this ~140-byte file. An empty template's body ends in:
+ * plan count, memory size (u64), segment count, validated-range count,
+ * step count; patching the memory size instead would decode fine, so
+ * a wrong offset fails the test.
+ */
+Status
+decodeForgedCount(std::size_t from_end)
+{
+    ByteVec file = cache::serializeTemplate(cache::LaunchTemplate{});
+    file.resize(file.size() - 32); // drop the trailer
+    std::fill_n(file.end() - static_cast<std::ptrdiff_t>(from_end), 4,
+                u8{0xff});
+    crypto::Sha256Digest trailer = crypto::Sha256::digest(file);
+    file.insert(file.end(), trailer.begin(), trailer.end());
+    return cache::deserializeTemplate(file).status();
+}
+
+TEST(TemplateIoTest, ForgedPlanCountIsCorrupt)
+{
+    EXPECT_EQ(decodeForgedCount(24).code(), ErrorCode::kCorrupted);
+}
+
+TEST(TemplateIoTest, ForgedSegmentCountIsCorrupt)
+{
+    EXPECT_EQ(decodeForgedCount(12).code(), ErrorCode::kCorrupted);
+}
+
+TEST(TemplateIoTest, ForgedRangeCountIsCorrupt)
+{
+    EXPECT_EQ(decodeForgedCount(8).code(), ErrorCode::kCorrupted);
+}
+
+TEST(TemplateIoTest, ForgedStepCountIsCorrupt)
+{
+    EXPECT_EQ(decodeForgedCount(4).code(), ErrorCode::kCorrupted);
 }
 
 // ===================================================================

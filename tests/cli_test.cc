@@ -166,9 +166,8 @@ TEST(BootCli, CacheStatsLineCarriesDiskHealthCounters)
 
 TEST(BootCli, RejectsMalformedNumbers)
 {
-    // Regression: std::atoi silently turned "--threads=abc" into 0
-    // ("use the platform knob") and wrapped negatives through the
-    // unsigned cast. Every numeric flag must now reject garbage with a
+    // Regression: std::atoi silently turned "--threads=abc" into 0 and
+    // wrapped negatives through the unsigned cast. Every numeric flag must now reject garbage with a
     // usage error naming the flag.
     for (const char *arg :
          {"--vcpus=abc", "--vcpus=-1", "--vcpus=4294967296",

@@ -292,5 +292,55 @@ TEST(Frame, CorruptPayloadDetected)
     EXPECT_FALSE(codecFor(CodecKind::kLz4).decompress(cut).isOk());
 }
 
+// ------------------------------------------------- forged declared size
+
+/**
+ * The codec's own 100 KB stream with the frame's declared size (u64 LE
+ * after magic, kind and reserved bytes) patched to 2^50. A decoder may
+ * size its output from that field only after checking it against what
+ * the payload can encode; gzip-lite does not size from it at all.
+ */
+Status
+decodeForgedSize(CodecKind kind)
+{
+    const Codec &codec = codecFor(kind);
+    ByteVec stream = codec.compress(kernelLike(100000, 5));
+    const u64 forged = u64{1} << 50;
+    for (int i = 0; i < 8; ++i) {
+        stream[8 + i] = static_cast<u8>(forged >> (8 * i));
+    }
+    return codec.decompress(stream).status();
+}
+
+TEST(ForgedSize, Lz4RejectsBeforeAllocating)
+{
+    EXPECT_EQ(decodeForgedSize(CodecKind::kLz4).code(),
+              ErrorCode::kCorrupted);
+}
+
+TEST(ForgedSize, LzssRejectsBeforeAllocating)
+{
+    EXPECT_EQ(decodeForgedSize(CodecKind::kLzss).code(),
+              ErrorCode::kCorrupted);
+}
+
+TEST(ForgedSize, GzipLiteRejectsBeforeAllocating)
+{
+    EXPECT_EQ(decodeForgedSize(CodecKind::kGzipLite).code(),
+              ErrorCode::kCorrupted);
+}
+
+TEST(ForgedSize, Lz4BoundAdmitsTheMostCompressibleInput)
+{
+    // All zeros is LZ4's best case, right at the 255x expansion bound:
+    // the forged-size check must not reject it.
+    const Codec &lz4 = codecFor(CodecKind::kLz4);
+    ByteVec zeros(64u << 20, 0);
+    ByteVec stream = lz4.compress(zeros);
+    Result<ByteVec> back = lz4.decompress(stream);
+    ASSERT_TRUE(back.isOk()) << back.status().toString();
+    EXPECT_EQ(*back, zeros);
+}
+
 } // namespace
 } // namespace sevf::compress

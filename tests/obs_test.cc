@@ -9,18 +9,38 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <set>
 
 #include "base/json.h"
 #include "base/parallel.h"
 #include "core/launch.h"
+#include "fault/fault.h"
 #include "obs/export.h"
-#include "obs/metrics.h"
+#include "obs/families.h"
 #include "obs/span.h"
 #include "workload/synthetic.h"
 
 namespace sevf::obs {
 namespace {
+
+// Test-only families: the registry takes any declaration, so unit
+// tests exercise it without touching the production table.
+constexpr CounterFamily kTestCounter{"test_counter_total", "", kNoContract,
+                                     "t"};
+constexpr CounterFamily kTestIdentity{"test_identity_total", "k",
+                                      kNoContract, "t"};
+constexpr GaugeFamily kTestGauge{"test_gauge", "", kNoContract, "t"};
+constexpr CounterFamily kTestConcurrent{"test_concurrent_total", "",
+                                        kNoContract, "t"};
+constexpr CounterFamily kTestProm{"test_prom_total", "k", kNoContract,
+                                  "a counter"};
+constexpr HistogramFamily kTestPromHist{"test_prom_hist", "", kNoContract,
+                                        "a histogram"};
+constexpr CounterFamily kTestJson{"test_json_total", "", kNoContract, "t"};
+constexpr CounterFamily kTestJsonEscape{"test_json_escape_total", "tenant",
+                                        kNoContract, "t"};
 
 /** Fresh log + zeroed metric values for every test. */
 class ObsTest : public ::testing::Test
@@ -45,7 +65,7 @@ class ObsTest : public ::testing::Test
 
 TEST_F(ObsTest, CounterCountsOnlyWhenEnabled)
 {
-    Counter &c = Registry::instance().counter("test_counter_total", "t");
+    Counter &c = kTestCounter.metric();
     c.add(5); // disabled: dropped
     EXPECT_EQ(c.value(), 0u);
     {
@@ -60,20 +80,45 @@ TEST_F(ObsTest, CounterCountsOnlyWhenEnabled)
 
 TEST_F(ObsTest, RegistryReturnsSameObjectForSameIdentity)
 {
-    Counter &a = Registry::instance().counter("test_identity_total", "t",
-                                              {{"k", "v"}});
-    Counter &b = Registry::instance().counter("test_identity_total", "t",
-                                              {{"k", "v"}});
-    Counter &other = Registry::instance().counter("test_identity_total", "t",
-                                                  {{"k", "w"}});
+    Counter &a = kTestIdentity.metric("v");
+    Counter &b = kTestIdentity.metric("v");
+    Counter &other = kTestIdentity.metric("w");
     EXPECT_EQ(&a, &b);
     EXPECT_NE(&a, &other);
+}
+
+TEST_F(ObsTest, FamilyCallsRecordOnlyWhenEnabled)
+{
+    kTestIdentity.add("v", 5); // disabled: dropped before any lookup
+    kTestCounter.add(5);
+    {
+        ScopedEnable on(true, false);
+        kTestIdentity.add("v", 2);
+        kTestCounter.add(3);
+    }
+    EXPECT_EQ(kTestIdentity.metric("v").value(), 2u);
+    EXPECT_EQ(kTestCounter.metric().value(), 3u);
+}
+
+TEST_F(ObsTest, FamilyTableFollowsPrometheusNaming)
+{
+    std::set<std::string_view> names;
+    for (const Family *f : kAllFamilies) {
+        EXPECT_TRUE(names.insert(f->name).second)
+            << f->name << " declared twice";
+        EXPECT_TRUE(f->name.starts_with("sevf_")) << f->name;
+        EXPECT_FALSE(f->help.empty()) << f->name;
+        // Counters, and only counters, end in _total.
+        EXPECT_EQ(f->name.ends_with("_total"),
+                  f->kind == MetricKind::kCounter)
+            << f->name;
+    }
 }
 
 TEST_F(ObsTest, GaugeSetAddSetMax)
 {
     ScopedEnable on(true, false);
-    Gauge &g = Registry::instance().gauge("test_gauge", "t");
+    Gauge &g = kTestGauge.metric();
     g.set(10);
     EXPECT_EQ(g.value(), 10);
     g.add(-3);
@@ -87,8 +132,7 @@ TEST_F(ObsTest, GaugeSetAddSetMax)
 TEST_F(ObsTest, HistogramBucketEdgesAreInclusiveUpperBounds)
 {
     ScopedEnable on(true, false);
-    Histogram &h =
-        Registry::instance().histogram("test_hist", "t", {10, 100});
+    Histogram h({10, 100});
     h.observe(0);   // bucket 0
     h.observe(10);  // bucket 0: bounds are inclusive
     h.observe(11);  // bucket 1
@@ -106,7 +150,7 @@ TEST_F(ObsTest, HistogramBucketEdgesAreInclusiveUpperBounds)
 TEST_F(ObsTest, CounterIsExactUnderConcurrentWriters)
 {
     ScopedEnable on(true, false);
-    Counter &c = Registry::instance().counter("test_concurrent_total", "t");
+    Counter &c = kTestConcurrent.metric();
     base::ThreadPool pool(4);
     pool.parallelFor(0, 10000, 7, [&](u64 lo, u64 hi) {
         for (u64 i = lo; i < hi; ++i) {
@@ -251,12 +295,9 @@ TEST_F(ObsTest, ChromeTraceExportIsWellFormedJson)
 TEST_F(ObsTest, PrometheusExportDeclaresEveryFamilyOnce)
 {
     ScopedEnable on(true, false);
-    Registry::instance().counter("test_prom_total", "a counter", {{"k", "a"}})
-        .add(2);
-    Registry::instance().counter("test_prom_total", "a counter", {{"k", "b"}})
-        .add(3);
-    Registry::instance().histogram("test_prom_hist", "a histogram", {10, 100})
-        .observe(7);
+    kTestProm.add("a", 2);
+    kTestProm.add("b", 3);
+    kTestPromHist.observe(7);
     std::string text = exportPrometheus();
 
     // One TYPE line per family even with several label sets.
@@ -266,8 +307,11 @@ TEST_F(ObsTest, PrometheusExportDeclaresEveryFamilyOnce)
               std::string::npos);
     EXPECT_NE(text.find("test_prom_total{k=\"a\"} 2"), std::string::npos);
     EXPECT_NE(text.find("test_prom_total{k=\"b\"} 3"), std::string::npos);
-    // Histogram renders cumulative buckets plus +Inf/sum/count.
-    EXPECT_NE(text.find("test_prom_hist_bucket{le=\"10\"} 1"),
+    // Histogram renders cumulative buckets (the shared 1us .. ~17s
+    // duration bounds) plus +Inf/sum/count.
+    EXPECT_NE(text.find("test_prom_hist_bucket{le=\"1000\"} 1"),
+              std::string::npos);
+    EXPECT_NE(text.find("test_prom_hist_bucket{le=\"4000\"} 1"),
               std::string::npos);
     EXPECT_NE(text.find("test_prom_hist_bucket{le=\"+Inf\"} 1"),
               std::string::npos);
@@ -278,7 +322,7 @@ TEST_F(ObsTest, PrometheusExportDeclaresEveryFamilyOnce)
 TEST_F(ObsTest, MetricsJsonExportParses)
 {
     ScopedEnable on(true, false);
-    Registry::instance().counter("test_json_total", "t").add(9);
+    kTestJson.add(9);
     Result<base::JsonValue> doc = base::parseJson(exportMetricsJson());
     ASSERT_TRUE(doc.isOk()) << doc.status().toString();
     const base::JsonValue *metrics = doc->find("metrics");
@@ -301,9 +345,7 @@ TEST_F(ObsTest, MetricsJsonExportEscapesControlCharacters)
     // rejects them, so the export must parse; the text checks pin the
     // escaped form.
     ScopedEnable on(true, false);
-    Registry::instance()
-        .counter("test_json_escape_total", "t", {{"tenant", "a\tb\x01" "c"}})
-        .add();
+    kTestJsonEscape.add("a\tb\x01" "c");
     std::string json = exportMetricsJson();
     Result<base::JsonValue> doc = base::parseJson(json);
     ASSERT_TRUE(doc.isOk()) << doc.status().toString();
@@ -424,6 +466,46 @@ TEST_F(ObsTest, EveryStrategyProducesAFaithfulSpanTree)
         EXPECT_EQ(end, static_cast<u64>(result->trace.total().ns()));
         EXPECT_GE(static_cast<double>(covered), 0.95 * end);
     }
+}
+
+/**
+ * Boot one launch with metrics off and report (to stderr) every family
+ * it registered beyond those registered at construction (platform,
+ * fault injector) and the data-path kernel pair, which resolves once
+ * into function-local statics. Returns the child's exit status.
+ */
+int
+disabledLaunchLookups()
+{
+    core::Platform platform(sim::CostParams::deterministic());
+    fault::FaultInjector::instance();
+    std::set<std::string> allowed;
+    allowed.insert(std::string(kKernelBytes.name));
+    allowed.insert(std::string(kKernelWallNs.name));
+    for (const MetricSnapshot &m : Registry::instance().snapshot()) {
+        allowed.insert(m.name);
+    }
+    core::LaunchRequest request;
+    request.scale = 1.0 / 32.0;
+    bool ok = core::makeStrategy(core::StrategyKind::kSeveriFastBz)
+                  ->launch(platform, request)
+                  .isOk();
+    for (const MetricSnapshot &m : Registry::instance().snapshot()) {
+        if (!allowed.contains(m.name)) {
+            std::fprintf(stderr, "looked up: %s\n", m.name.c_str());
+            ok = false;
+        }
+    }
+    return ok ? 0 : 1;
+}
+
+TEST(ObsDeathTest, DisabledLaunchLooksUpNoFamily)
+{
+    // The registry is process-global and keeps registrations across
+    // reset(), so the launch runs in a fresh child process.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(std::_Exit(disabledLaunchLookups()),
+                ::testing::ExitedWithCode(0), "");
 }
 
 TEST_F(ObsTest, LaunchIsMetricFreeWhenDisabled)

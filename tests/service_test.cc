@@ -16,7 +16,7 @@
 #include "core/launch.h"
 #include "fault/fault.h"
 #include "obs/export.h"
-#include "obs/metrics.h"
+#include "obs/families.h"
 #include "obs/span.h"
 #include "service/launch_service.h"
 #include "service/tenant.h"
@@ -113,27 +113,14 @@ TEST(LaunchServiceTest, RegisteredTenantsLaunchAndAreCounted)
 
     // Per-tenant counters: 3 submitted + 3 completed each, and the
     // latency histogram observed one sample per launch.
-    obs::Registry &reg = obs::Registry::instance();
     for (const char *tenant : {"alpha", "beta"}) {
-        obs::Labels labels{{"tenant", tenant}};
-        EXPECT_EQ(reg.counter("sevf_service_submitted_total", "",
-                              labels)
-                      .value(),
-                  3u)
+        EXPECT_EQ(obs::kServiceSubmitted.metric(tenant).value(), 3u)
             << tenant;
-        EXPECT_EQ(reg.counter("sevf_service_completed_total", "",
-                              labels)
-                      .value(),
-                  3u)
+        EXPECT_EQ(obs::kServiceCompleted.metric(tenant).value(), 3u)
             << tenant;
-        EXPECT_EQ(reg.counter("sevf_service_rejected_total", "", labels)
-                      .value(),
-                  0u)
+        EXPECT_EQ(obs::kServiceRejected.metric(tenant).value(), 0u)
             << tenant;
-        EXPECT_EQ(reg.histogram("sevf_service_latency_ns", "",
-                                obs::defaultTimeBoundsNs(), labels)
-                      .snapshot()
-                      .count,
+        EXPECT_EQ(obs::kServiceLatencyNs.metric(tenant).snapshot().count,
                   3u)
             << tenant;
     }
@@ -210,11 +197,7 @@ TEST(LaunchServiceTest, TenantQuotaRejectionCountsPerTenant)
         }
     }
     EXPECT_GT(rejected, 0u);
-    obs::Labels labels{{"tenant", "tight"}};
-    EXPECT_EQ(obs::Registry::instance()
-                  .counter("sevf_service_rejected_total", "", labels)
-                  .value(),
-              rejected);
+    EXPECT_EQ(obs::kServiceRejected.metric("tight").value(), rejected);
 }
 
 TEST(LaunchServiceTest, UnknownTenantIdsDoNotGrowTheMetricsRegistry)
@@ -294,21 +277,20 @@ TEST(LaunchServiceTest, PerTenantCountersAddUp)
     EXPECT_EQ(faulted, 1u);
     EXPECT_EQ(unknown, 2u);
 
-    auto count = [](const char *family, const std::string &tenant) {
-        return obs::Registry::instance()
-            .counter(family, "", {{"tenant", tenant}})
-            .value();
+    auto count = [](const obs::CounterFamily &family,
+                    const std::string &tenant) {
+        return family.metric(tenant).value();
     };
     for (const char *tenant : {"tight", ""}) {
         SCOPED_TRACE("tenant=\"" + std::string(tenant) + "\"");
-        EXPECT_EQ(count("sevf_service_submitted_total", tenant),
-                  count("sevf_service_completed_total", tenant) +
-                      count("sevf_service_failed_total", tenant) +
-                      count("sevf_service_rejected_total", tenant));
+        EXPECT_EQ(count(obs::kServiceSubmitted, tenant),
+                  count(obs::kServiceCompleted, tenant) +
+                      count(obs::kServiceFailed, tenant) +
+                      count(obs::kServiceRejected, tenant));
     }
-    EXPECT_EQ(count("sevf_service_submitted_total", "tight"), 6u);
-    EXPECT_EQ(count("sevf_service_submitted_total", ""), 2u);
-    EXPECT_EQ(count("sevf_service_rejected_total", ""), 2u);
+    EXPECT_EQ(count(obs::kServiceSubmitted, "tight"), 6u);
+    EXPECT_EQ(count(obs::kServiceSubmitted, ""), 2u);
+    EXPECT_EQ(count(obs::kServiceRejected, ""), 2u);
 }
 
 // ===================================================================

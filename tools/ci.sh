@@ -171,11 +171,12 @@ echo "==> [perfbench] python3 perfbench/selftest.py"
 
 # 8. Observability: boot one SEV-SNP launch with tracing + metrics on,
 #    then validate both exports with sevf_obscheck — Chrome-trace
-#    structure, >= 95% sim-time span coverage, Prometheus syntax, the
-#    PSP queue-depth / kernel-throughput / fault / retry families the
-#    figures and the runbook need, and the doc-drift gates (every
-#    exported metric/span name must appear in docs/OBSERVABILITY.md;
-#    every reliability signal in docs/RELIABILITY.md).
+#    structure, >= 95% sim-time span coverage, Prometheus syntax, no
+#    family outside src/obs/families.h, its every kBootExport family,
+#    and the doc-drift gates
+#    (every declared family, exported or not, and every traced span
+#    must appear in docs/OBSERVABILITY.md; every kRunbook family and
+#    reliability span in docs/RELIABILITY.md).
 obs_dir="$root/build-ci-werror/obs-ci"
 mkdir -p "$obs_dir"
 boot="$root/build-ci-werror/tools/sevf_boot"
@@ -229,9 +230,9 @@ fi
 
 # 9b. Multi-tenant launch service: replay the example workload trace
 #     through sevf_serve, validate the metrics export with the serving
-#     gate plus both doc-drift gates (the per-tenant families must be
-#     documented like everything else), and keep the whole service
-#     layer outside the root of trust — like the cache, a scheduler
+#     gate (every kServeExport family of src/obs/families.h) plus both
+#     doc-drift gates, and keep the whole service layer outside the
+#     root of trust — like the cache, a scheduler
 #     bug can deny service but never change what a guest owner
 #     attests.
 service_dir="$root/build-ci-werror/service-ci"

@@ -48,7 +48,7 @@ bootFlags()
         {"--seed", "N", "launch determinism seed (default 1)"},
         {"--threads", "N",
          "host worker threads for the parallel launch pipeline "
-         "(0 = platform knob, 1 = serial)"},
+         "(0 or 1 = serial)"},
         {"--no-hugepages", nullptr,
          "back guest memory with 4 KiB pages only (re-adds the "
          "pvalidate cost hugepages hide)"},

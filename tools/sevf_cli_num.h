@@ -3,11 +3,11 @@
  * Strict numeric parsing for tool command lines.
  *
  * std::atoi/atoll silently return 0 on garbage ("--threads=abc" used to
- * mean --threads=0, i.e. "use the platform knob") and wrap negatives
- * through the unsigned casts. These helpers reject non-numeric input,
- * signs, embedded whitespace, trailing garbage, and out-of-range values
- * with a kInvalidArgument naming the flag, so main() prints a usage
- * error instead of booting with a misparsed knob. Header-only so
+ * mean --threads=0) and wrap negatives through the unsigned casts.
+ * These helpers reject non-numeric input, signs, embedded whitespace,
+ * trailing garbage, and out-of-range values with a kInvalidArgument
+ * naming the flag, so main() prints a usage error instead of booting
+ * with a misparsed knob. Header-only so
  * cli_test.cc links the exact code the tools run.
  */
 #ifndef SEVF_TOOLS_SEVF_CLI_NUM_H_

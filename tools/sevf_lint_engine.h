@@ -1457,7 +1457,7 @@ struct GlobalModel {
             }
         }
         // Free call, or a receiver we could not type (chained calls like
-        // Registry::instance().counter(...) record receiver "?"): a
+        // Registry::instance().snapshot() record receiver "?"): a
         // globally unique base name is still an unambiguous target.
         auto it = fns_by_base.find(call.name);
         if (it == fns_by_base.end() || it->second.size() != 1) {

@@ -1,38 +1,26 @@
 /**
  * @file
- * sevf_obscheck: validate the observability exports sevf_boot writes.
+ * sevf_obscheck: validate the observability exports of sevf_boot and
+ * sevf_serve, and the docs that must describe them.
  *
  *   usage: sevf_obscheck [--trace trace.json] [--metrics metrics.prom]
  *                        [--docs docs/OBSERVABILITY.md]
  *                        [--reliability docs/RELIABILITY.md]
  *                        [--service] [--min-coverage 0.95]
  *
- * Five checks, each on when its input file (or flag) is given:
- *  - trace: parses as JSON (with the repo's own base/json parser),
- *    every event is structurally a Chrome trace event, and per sim
- *    launch the union of sim.step spans covers >= min-coverage of the
- *    launch's simulated duration.
- *  - metrics: Prometheus text syntax (or a .json snapshot); every
- *    sample belongs to a declared family; the PSP queue-depth and
- *    per-kernel throughput families the paper's figures depend on are
- *    present.
- *  - docs (doc-drift gate): every exported metric family, wall-span
- *    name, and counter-track name appears in docs/OBSERVABILITY.md, so
- *    new instrumentation cannot land undocumented.
- *  - reliability (doc-drift gate for the runbook): every exported
- *    fault_* and retry_* family and reliability span, plus the fixed
- *    degradation-signal names (cache disk errors/quarantine/poisoning,
- *    admission shedding, DRAM mmap fallback), appears in
- *    docs/RELIABILITY.md — a new fault domain cannot land without its
- *    operator runbook entry.
- *  - service (--service, needs --metrics): the multi-tenant serving
- *    families (sevf_service_*, the admission quota/shed counters) are
- *    present in the export — the ci.sh [service] stage runs sevf_serve
- *    and holds its metrics to this contract.
+ * Each flag turns on one gate; the gate table in docs/OBSERVABILITY.md
+ * says what each checks. The metric gates are derived from the family
+ * table in obs/families.h, compiled into this tool, so no family is
+ * named here: an export must carry its contract's rows (kBootExport,
+ * and kServeExport with --service) and no family outside the table,
+ * and the doc gates require every row (kRunbook rows in the runbook),
+ * exported or not, besides the span names a trace carries.
  *
- * Exit 0 when all requested checks pass; 1 with one line per failure.
+ * Exit 0 when all requested checks pass; 1 with one line per failure;
+ * 2 on a usage error.
  */
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -43,6 +31,8 @@
 #include <vector>
 
 #include "base/json.h"
+#include "obs/families.h"
+#include "tools/sevf_cli_num.h"
 
 using namespace sevf;
 
@@ -67,6 +57,38 @@ readFile(const std::string &path)
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+/** (name, what it names) pairs a gate requires. */
+using Names = std::vector<std::pair<std::string, const char *>>;
+
+/** The declared families held to @p contract (all for kNoContract). */
+Names
+declaredFamilies(obs::Contract contract)
+{
+    Names names;
+    for (const obs::Family *f : obs::kAllFamilies) {
+        if (contract == obs::kNoContract || (f->contracts & contract) != 0) {
+            names.emplace_back(f->name, "metric");
+        }
+    }
+    return names;
+}
+
+/** Fail for every family held to @p contract that @p families lacks. */
+void
+requireExported(const char *gate, obs::Contract contract,
+                const std::set<std::string> &families)
+{
+    Names required = declaredFamilies(contract);
+    for (const auto &family : required) {
+        if (!families.contains(family.first)) {
+            fail(std::string(gate) + ": required family missing: " +
+                 family.first);
+        }
+    }
+    std::printf("%s: %zu required families checked\n", gate,
+                required.size());
 }
 
 struct Interval {
@@ -276,148 +298,94 @@ checkMetrics(const std::string &path)
         }
     }
 
-    // The figures this repo exists to reproduce need these families,
+    // The doc gates read the table, not the export: a family outside
+    // the table would go undocumented.
+    std::set<std::string> undeclared = families;
+    for (const obs::Family *f : obs::kAllFamilies) {
+        undeclared.erase(std::string(f->name));
+    }
+    for (const std::string &family : undeclared) {
+        fail("metrics: family " + family + " is not declared in "
+             "obs/families.h");
+    }
+    // The figures this repo exists to reproduce need some families,
     // and the reliability layer eagerly registers its families so a
     // fault-free boot still exports them zero-valued.
-    for (const char *required :
-         {"sevf_psp_queue_depth", "sevf_kernel_bytes_total",
-          "sevf_kernel_wall_ns_total", "sevf_cache_hits_total",
-          "sevf_cache_misses_total", "sevf_cache_inserts_total",
-          "sevf_cache_evictions_total", "sevf_cache_bytes",
-          "sevf_fault_checks_total", "sevf_fault_injected_total",
-          "sevf_retry_attempts_total", "sevf_retry_backoff_ns_total",
-          "sevf_retry_exhausted_total", "sevf_cache_disk_errors_total",
-          "sevf_cache_disk_quarantined", "sevf_cache_poisoned_total"}) {
-        if (!families.contains(required)) {
-            fail(std::string("metrics: required family missing: ") +
-                 required);
-        }
-    }
+    requireExported("metrics", obs::kBootExport, families);
     std::printf("metrics: %zu families\n", families.size());
     return families;
 }
 
-/** Doc-drift gate: every exported name must appear in the docs file. */
-void
-checkDocs(const std::string &path, const TraceNames &trace,
-          const std::set<std::string> &families)
-{
-    Result<std::string> text = readFile(path);
-    if (!text.isOk()) {
-        fail(text.status().message());
-        return;
-    }
-    std::size_t checked = 0;
-    auto require = [&](const std::string &name, const char *what) {
-        ++checked;
-        if (text->find(name) == std::string::npos) {
-            fail("docs: " + std::string(what) + " \"" + name +
-                 "\" is not documented in " + path);
-        }
-    };
-    for (const std::string &name : families) {
-        require(name, "metric");
-    }
-    for (const std::string &name : trace.wall_spans) {
-        require(name, "span");
-    }
-    for (const std::string &name : trace.counters) {
-        require(name, "counter track");
-    }
-    std::printf("docs: %zu exported names checked against %s\n", checked,
-                path.c_str());
-}
-
-/** True when @p name belongs to the reliability surface. */
+/** True when @p name occurs in @p text not as a prefix of a longer name. */
 bool
-isReliabilityName(const std::string &name)
+mentions(const std::string &text, const std::string &name)
 {
-    static const char *kExact[] = {
-        "sevf_cache_disk_errors_total", "sevf_cache_disk_quarantined",
-        "sevf_cache_poisoned_total", "sevf_admission_shed_total",
-        "sevf_admission_rejected_quota_total",
-        "sevf_dram_mmap_fallback_total", "cache.poison_fallback",
-    };
-    for (const char *exact : kExact) {
-        if (name == exact) {
+    for (std::size_t at = text.find(name); at != std::string::npos;
+         at = text.find(name, at + 1)) {
+        char next = text[at + name.size()]; // '\0' past the end
+        if (!std::isalnum(static_cast<unsigned char>(next)) && next != '_') {
             return true;
         }
     }
-    return name.rfind("sevf_fault_", 0) == 0 ||
-           name.rfind("sevf_retry_", 0) == 0 ||
-           name.rfind("fault.", 0) == 0 || name.rfind("retry.", 0) == 0;
+    return false;
 }
 
-/**
- * Runbook-drift gate: every reliability-surface name that the exports
- * carry — plus the fixed signal list an operator greps for even when a
- * particular run never exercised it — must appear in RELIABILITY.md.
- */
+/** Doc-drift gate: every name in @p names must appear in @p path. */
 void
-checkReliability(const std::string &path, const TraceNames &trace,
-                 const std::set<std::string> &families)
+requireDocumented(const char *gate, const std::string &path,
+                  const Names &names)
 {
     Result<std::string> text = readFile(path);
     if (!text.isOk()) {
         fail(text.status().message());
         return;
     }
-    std::size_t checked = 0;
-    auto require = [&](const std::string &name, const char *what) {
-        ++checked;
-        if (text->find(name) == std::string::npos) {
-            fail("reliability: " + std::string(what) + " \"" + name +
-                 "\" has no runbook entry in " + path);
-        }
-    };
-    for (const std::string &name : families) {
-        if (isReliabilityName(name)) {
-            require(name, "metric");
+    for (const auto &[name, what] : names) {
+        if (!mentions(*text, name)) {
+            fail(std::string(gate) + ": " + what + " \"" + name +
+                 "\" is missing from " + path);
         }
     }
-    for (const std::string &name : trace.wall_spans) {
-        if (isReliabilityName(name)) {
-            require(name, "span");
-        }
-    }
-    // Signals that only appear in exports when their fault actually
-    // fired; the runbook must cover them regardless.
-    for (const char *always :
-         {"sevf_fault_checks_total", "sevf_fault_injected_total",
-          "sevf_retry_attempts_total", "sevf_retry_backoff_ns_total",
-          "sevf_retry_exhausted_total", "sevf_cache_disk_errors_total",
-          "sevf_cache_disk_quarantined", "sevf_cache_poisoned_total",
-          "sevf_admission_shed_total",
-          "sevf_admission_rejected_quota_total",
-          "sevf_dram_mmap_fallback_total",
-          "fault.inject", "retry.backoff", "cache.poison_fallback"}) {
-        require(always, "signal");
-    }
-    std::printf("reliability: %zu names checked against %s\n", checked,
+    std::printf("%s: %zu names checked against %s\n", gate, names.size(),
                 path.c_str());
 }
 
 /**
- * Serving-layer gate: a metrics export produced by the launch service
- * (sevf_serve, bench_service_fairness) must carry the per-tenant
- * service families and the admission rejection counters. Families are
- * registered eagerly, so they are present (zero-valued) even when no
- * launch was rejected.
+ * OBSERVABILITY.md: every declared family, exported or not, and every
+ * span and counter-track name the trace carries.
  */
 void
-checkService(const std::set<std::string> &families)
+checkDocs(const std::string &path, const TraceNames &trace)
 {
-    for (const char *required :
-         {"sevf_service_submitted_total", "sevf_service_completed_total",
-          "sevf_service_failed_total", "sevf_service_rejected_total",
-          "sevf_service_latency_ns", "sevf_admission_rejected_quota_total",
-          "sevf_admission_shed_total"}) {
-        if (!families.contains(required)) {
-            fail(std::string("service: required family missing: ") +
-                 required);
+    Names names = declaredFamilies(obs::kNoContract);
+    for (const std::string &span : trace.wall_spans) {
+        names.emplace_back(span, "span");
+    }
+    for (const std::string &track : trace.counters) {
+        names.emplace_back(track, "counter track");
+    }
+    requireDocumented("docs", path, names);
+}
+
+/**
+ * RELIABILITY.md, the runbook: every kRunbook family, every fault.* and
+ * retry.* span the trace carries, and the three runbook spans an
+ * operator greps for even when a run never opened them.
+ */
+void
+checkReliability(const std::string &path, const TraceNames &trace)
+{
+    Names names = declaredFamilies(obs::kRunbook);
+    for (const std::string &span : trace.wall_spans) {
+        if (span.rfind("fault.", 0) == 0 || span.rfind("retry.", 0) == 0) {
+            names.emplace_back(span, "span");
         }
     }
-    std::printf("service: serving families present\n");
+    for (const char *span :
+         {"fault.inject", "retry.backoff", "cache.poison_fallback"}) {
+        names.emplace_back(span, "span");
+    }
+    requireDocumented("reliability", path, names);
 }
 
 } // namespace
@@ -451,7 +419,13 @@ main(int argc, char **argv)
         } else if (arg == "--service") {
             check_service = true;
         } else if (arg == "--min-coverage") {
-            min_coverage = std::atof(next().c_str());
+            Result<double> parsed = tools::parseFraction(arg, next(), 1.0);
+            if (!parsed.isOk()) {
+                std::fprintf(stderr, "%s\n",
+                             parsed.status().message().c_str());
+                return 2;
+            }
+            min_coverage = *parsed;
         } else {
             std::fprintf(stderr,
                          "usage: %s [--trace FILE] [--metrics FILE] "
@@ -475,13 +449,15 @@ main(int argc, char **argv)
         families = checkMetrics(metrics_path);
     }
     if (check_service) {
-        checkService(families);
+        // Serving-layer gate: the launch service registers its families
+        // eagerly, so they are present even when nothing was rejected.
+        requireExported("service", obs::kServeExport, families);
     }
     if (!docs_path.empty()) {
-        checkDocs(docs_path, trace_names, families);
+        checkDocs(docs_path, trace_names);
     }
     if (!reliability_path.empty()) {
-        checkReliability(reliability_path, trace_names, families);
+        checkReliability(reliability_path, trace_names);
     }
 
     if (g_failures != 0) {
