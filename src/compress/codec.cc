@@ -36,6 +36,24 @@ readHeader(ByteReader &r) SEVF_UNTRUSTED_INPUT
     return Header{static_cast<CodecKind>(kind), size};
 }
 
+Result<Frame>
+openFrame(ByteSpan stream, CodecKind kind, MutByteSpan out)
+    SEVF_UNTRUSTED_INPUT
+{
+    ByteReader r(stream);
+    SEVF_ASSIGN_OR_RETURN(Header h, readHeader(r));
+    if (h.kind != kind) {
+        return errCorrupted(std::string("frame is not a '") +
+                            codecName(kind) + "' stream");
+    }
+    if (h.decompressed_size > out.size()) {
+        return errCorrupted(std::string(codecName(kind)) +
+                            ": declared size exceeds the output area");
+    }
+    SEVF_ASSIGN_OR_RETURN(ByteSpan payload, r.view(r.remaining()));
+    return Frame{payload, out.first(h.decompressed_size)};
+}
+
 } // namespace detail
 
 const char *
@@ -66,6 +84,21 @@ Codec::streamKind(ByteSpan stream)
     return h.kind;
 }
 
+Result<ByteVec>
+Codec::decompressChecked(ByteSpan stream) const
+{
+    ByteReader r(stream);
+    SEVF_ASSIGN_OR_RETURN(detail::Header h, detail::readHeader(r));
+    if (h.decompressed_size > maxDecodedSize(r.remaining())) {
+        return errCorrupted(std::string(name()) +
+                            ": declared size exceeds what the payload "
+                            "can encode");
+    }
+    ByteVec out(h.decompressed_size);
+    SEVF_RETURN_IF_ERROR(decompressInto(stream, out).status());
+    return out;
+}
+
 namespace {
 
 /** Identity codec: frames but does not transform. */
@@ -83,18 +116,28 @@ class NoneCodec : public Codec
         return w.take();
     }
 
+    Result<u64>
+    decompressInto(ByteSpan stream, MutByteSpan out) const override
+    {
+        SEVF_ASSIGN_OR_RETURN(detail::Frame f,
+                              detail::openFrame(stream, kind(), out));
+        if (f.out.size() != f.payload.size()) {
+            return errCorrupted("'none' frame size mismatch");
+        }
+        std::copy(f.payload.begin(), f.payload.end(), f.out.begin());
+        return f.out.size();
+    }
+
     Result<ByteVec>
     decompress(ByteSpan stream) const override
     {
-        ByteReader r(stream);
-        SEVF_ASSIGN_OR_RETURN(detail::Header h, detail::readHeader(r));
-        if (h.kind != CodecKind::kNone) {
-            return errCorrupted("frame is not a 'none' stream");
-        }
-        if (h.decompressed_size != r.remaining()) {
-            return errCorrupted("'none' frame size mismatch");
-        }
-        return r.bytes(r.remaining());
+        return decompressChecked(stream);
+    }
+
+  protected:
+    u64 maxDecodedSize(u64 payload_size) const override
+    {
+        return payload_size;
     }
 };
 

@@ -29,7 +29,7 @@ const char *codecName(CodecKind kind);
 
 /**
  * A compression codec. Streams are framed with a small self-describing
- * header so decompress() can validate kind and size.
+ * header so a decoder can validate kind and size.
  */
 class Codec
 {
@@ -47,8 +47,22 @@ class Codec
     virtual ByteVec compress(ByteSpan input) const = 0;
 
     /**
-     * Decompress a framed stream produced by compress(). Fails with
-     * kCorrupted on malformed input (truncation, bad magic, bad offsets).
+     * Decompress a framed stream produced by compress() into the
+     * caller's @p out and return the frame's declared size; only
+     * out[0, declared) is written. This is the codec's one decode loop.
+     * Fails with kCorrupted on malformed input (truncation, bad magic,
+     * bad offsets), and before writing anything when the declared size
+     * exceeds out.size().
+     */
+    virtual Result<u64> decompressInto(ByteSpan stream,
+                                       MutByteSpan out) const = 0;
+
+    /**
+     * decompressInto() a fresh vector of the declared size. Every codec
+     * forwards this to decompressChecked(), in its own module: the TCB
+     * audit resolves a call by its receiver's type and does not model
+     * inheritance, so a call on, say, a GzipLiteCodec must land in
+     * compress/gzip_lite for that module's ban to see it.
      */
     virtual Result<ByteVec> decompress(ByteSpan stream) const = 0;
 
@@ -61,6 +75,17 @@ class Codec
 
     /** Codec kind recorded in the frame header. */
     static Result<CodecKind> streamKind(ByteSpan stream);
+
+  protected:
+    /**
+     * The shared decompress(): the declared size is first checked
+     * against what the payload can encode (maxDecodedSize), so a forged
+     * header fails with kCorrupted instead of sizing an allocation.
+     */
+    Result<ByteVec> decompressChecked(ByteSpan stream) const;
+
+    /** Most bytes a payload of @p payload_size bytes can decode to. */
+    virtual u64 maxDecodedSize(u64 payload_size) const = 0;
 };
 
 /** Singleton codec instance for @p kind. */

@@ -27,6 +27,18 @@ struct Header {
 /** Validate and parse the header; the reader is left at the payload. */
 Result<Header> readHeader(ByteReader &r);
 
+/** A validated frame: its payload and where it decodes to. */
+struct Frame {
+    ByteSpan payload;
+    MutByteSpan out; //!< the caller's area cut to the declared size
+};
+
+/**
+ * Open @p stream as a @p kind frame whose declared size fits in @p out;
+ * anything else is kCorrupted.
+ */
+Result<Frame> openFrame(ByteSpan stream, CodecKind kind, MutByteSpan out);
+
 } // namespace sevf::compress::detail
 
 #endif // SEVF_COMPRESS_FRAME_H_

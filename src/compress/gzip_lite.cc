@@ -175,86 +175,69 @@ GzipLiteCodec::compress(ByteSpan input) const
     return w.take();
 }
 
-Result<ByteVec>
-GzipLiteCodec::decompress(ByteSpan stream) const
+u64
+GzipLiteCodec::maxDecodedSize(u64 payload_size) const
 {
-    ByteReader r(stream);
-    Result<detail::Header> h = detail::readHeader(r);
-    if (!h.isOk()) {
-        return h.status();
-    }
-    if (h->kind != CodecKind::kGzipLite) {
-        return errCorrupted("frame is not a gzip-lite stream");
-    }
-    Result<ByteSpan> payload = r.view(r.remaining());
-    if (!payload.isOk()) {
-        return payload.status();
-    }
+    // The densest token is a match: a code of at least 1 bit, 2 length
+    // extra bits and a 4-bit distance bucket (bucket 0 has no extra
+    // bits) decode to at most kMaxMatch bytes, so every 7 payload bits
+    // yield at most kMaxMatch bytes.
+    return u64{kMaxMatch} * (payload_size * 8 / 7);
+}
 
-    BitReader bits(*payload);
+Result<u64>
+GzipLiteCodec::decompressInto(ByteSpan stream, MutByteSpan out) const
+{
+    SEVF_ASSIGN_OR_RETURN(detail::Frame f,
+                          detail::openFrame(stream, kind(), out));
+    BitReader bits(f.payload);
     std::vector<u8> lengths(kAlphabet);
     for (u8 &len : lengths) {
-        Result<u32> v = bits.get(4);
-        if (!v.isOk()) {
-            return v.status();
-        }
-        len = static_cast<u8>(*v);
+        SEVF_ASSIGN_OR_RETURN(u32 v, bits.get(4));
+        len = static_cast<u8>(v);
     }
-    Result<HuffmanDecoder> decoder = HuffmanDecoder::build(lengths);
-    if (!decoder.isOk()) {
-        return decoder.status();
-    }
+    SEVF_ASSIGN_OR_RETURN(HuffmanDecoder decoder,
+                          HuffmanDecoder::build(lengths));
 
-    ByteVec out;
+    u8 *dst = f.out.data();
+    const std::size_t size = f.out.size();
+    std::size_t op = 0;
     for (;;) {
-        Result<u32> sym = decoder->decode(bits);
-        if (!sym.isOk()) {
-            return sym.status();
-        }
-        if (*sym == kEob) {
+        SEVF_ASSIGN_OR_RETURN(u32 sym, decoder.decode(bits));
+        if (sym == kEob) {
             break;
         }
-        if (*sym < 256) {
-            if (out.size() >= h->decompressed_size) {
+        if (sym < 256) {
+            if (op >= size) {
                 return errCorrupted("gzip-lite: output overflow");
             }
-            out.push_back(static_cast<u8>(*sym));
+            dst[op++] = static_cast<u8>(sym);
             continue;
         }
         // Match.
-        Result<u32> extra = bits.get(2);
-        if (!extra.isOk()) {
-            return extra.status();
+        SEVF_ASSIGN_OR_RETURN(u32 extra, bits.get(2));
+        std::size_t len = kMinMatch + (sym - kFirstLenSym) * 4 + extra;
+        SEVF_ASSIGN_OR_RETURN(u32 bucket, bits.get(4));
+        std::size_t dist = 1u << bucket;
+        if (bucket > 0) {
+            SEVF_ASSIGN_OR_RETURN(u32 dextra,
+                                  bits.get(static_cast<int>(bucket)));
+            dist += dextra;
         }
-        std::size_t len =
-            kMinMatch + (*sym - kFirstLenSym) * 4 + *extra;
-        Result<u32> bucket = bits.get(4);
-        if (!bucket.isOk()) {
-            return bucket.status();
-        }
-        std::size_t dist = 1u << *bucket;
-        if (*bucket > 0) {
-            Result<u32> dextra = bits.get(static_cast<int>(*bucket));
-            if (!dextra.isOk()) {
-                return dextra.status();
-            }
-            dist += *dextra;
-        }
-        if (dist == 0 || dist > out.size()) {
+        if (dist > op) {
             return errCorrupted("gzip-lite: invalid match distance");
         }
-        if (out.size() + len > h->decompressed_size) {
+        if (len > size - op) {
             return errCorrupted("gzip-lite: match overflows output");
         }
-        std::size_t from = out.size() - dist;
-        for (std::size_t i = 0; i < len; ++i) {
-            out.push_back(out[from + i]);
+        for (std::size_t i = 0; i < len; ++i, ++op) {
+            dst[op] = dst[op - dist];
         }
     }
-    if (out.size() != h->decompressed_size) {
+    if (op != size) {
         return errCorrupted("gzip-lite: size mismatch");
     }
-    return out;
+    return size;
 }
 
 } // namespace sevf::compress

@@ -163,21 +163,14 @@ Lz4Codec::compressBlock(ByteSpan input)
     return out;
 }
 
-Result<ByteVec>
-Lz4Codec::decompressBlock(ByteSpan block, u64 decompressed_size)
+Status
+Lz4Codec::decompressBlock(ByteSpan block, MutByteSpan out)
     SEVF_UNTRUSTED_INPUT
 {
-    // No input byte decodes to more than 255 output bytes, so a larger
-    // declared size is forged: reject it before allocating from it.
-    if (decompressed_size > u64{255} * block.size()) {
-        return errCorrupted("lz4: declared size exceeds what the block "
-                            "can encode");
-    }
-    // Sized upfront so literals and matches land via memcpy into a flat
-    // buffer instead of per-byte push_back through vector growth checks.
-    ByteVec out(decompressed_size);
+    // The caller's area is sized upfront, so literals and matches land
+    // via memcpy into flat memory with no growth checks.
     u8 *dst = out.data();
-    const std::size_t out_size = decompressed_size;
+    const std::size_t out_size = out.size();
     std::size_t op = 0;
 
     std::size_t ip = 0;
@@ -205,9 +198,9 @@ Lz4Codec::decompressBlock(ByteSpan block, u64 decompressed_size)
             return errCorrupted("lz4: output overflows declared size");
         }
         if (lit_len != 0) {
-            // Guarded: dst is null for an empty payload (0-byte vector)
-            // and memcpy's pointer arguments are attribute-nonnull even
-            // when the length is zero.
+            // Guarded: dst may be null for an empty area, and memcpy's
+            // pointer arguments are attribute-nonnull even when the
+            // length is zero.
             std::memcpy(dst + op, block.data() + ip, lit_len);
         }
         op += lit_len;
@@ -273,7 +266,7 @@ Lz4Codec::decompressBlock(ByteSpan block, u64 decompressed_size)
     if (op != out_size) {
         return errCorrupted("lz4: decompressed size mismatch");
     }
-    return out;
+    return Status::ok();
 }
 
 ByteVec
@@ -289,25 +282,17 @@ Lz4Codec::compress(ByteSpan input) const
     return w.take();
 }
 
-Result<ByteVec>
-Lz4Codec::decompress(ByteSpan stream) const SEVF_UNTRUSTED_INPUT
+Result<u64>
+Lz4Codec::decompressInto(ByteSpan stream, MutByteSpan out) const
+    SEVF_UNTRUSTED_INPUT
 {
     static obs::KernelMetrics &metrics = obs::kernelMetrics("lz4_decompress");
     obs::KernelTimer timer(metrics, stream.size());
     SEVF_SPAN("lz4.decompress", "bytes", static_cast<u64>(stream.size()));
-    ByteReader r(stream);
-    Result<detail::Header> h = detail::readHeader(r);
-    if (!h.isOk()) {
-        return h.status();
-    }
-    if (h->kind != CodecKind::kLz4) {
-        return errCorrupted("frame is not an lz4 stream");
-    }
-    Result<ByteSpan> payload = r.view(r.remaining());
-    if (!payload.isOk()) {
-        return payload.status();
-    }
-    return decompressBlock(*payload, h->decompressed_size);
+    SEVF_ASSIGN_OR_RETURN(detail::Frame f,
+                          detail::openFrame(stream, kind(), out));
+    SEVF_RETURN_IF_ERROR(decompressBlock(f.payload, f.out));
+    return f.out.size();
 }
 
 } // namespace sevf::compress

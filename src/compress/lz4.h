@@ -20,7 +20,12 @@ class Lz4Codec : public Codec
   public:
     CodecKind kind() const override { return CodecKind::kLz4; }
     ByteVec compress(ByteSpan input) const override;
-    Result<ByteVec> decompress(ByteSpan stream) const override;
+    Result<u64> decompressInto(ByteSpan stream,
+                               MutByteSpan out) const override;
+    Result<ByteVec> decompress(ByteSpan stream) const override
+    {
+        return decompressChecked(stream);
+    }
 
     /**
      * Raw block compression without the frame header (exposed for
@@ -28,9 +33,15 @@ class Lz4Codec : public Codec
      */
     static ByteVec compressBlock(ByteSpan input);
 
-    /** Raw block decompression into exactly @p decompressed_size bytes. */
-    static Result<ByteVec> decompressBlock(ByteSpan block,
-                                           u64 decompressed_size);
+    /** Raw block decompression into exactly out.size() bytes. */
+    static Status decompressBlock(ByteSpan block, MutByteSpan out);
+
+  protected:
+    /** No input byte decodes to more than 255 output bytes. */
+    u64 maxDecodedSize(u64 payload_size) const override
+    {
+        return u64{255} * payload_size;
+    }
 };
 
 } // namespace sevf::compress

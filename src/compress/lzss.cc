@@ -117,38 +117,27 @@ LzssCodec::compress(ByteSpan input) const
     return w.take();
 }
 
-Result<ByteVec>
-LzssCodec::decompress(ByteSpan stream) const
+u64
+LzssCodec::maxDecodedSize(u64 payload_size) const
 {
-    ByteReader r(stream);
-    Result<detail::Header> h = detail::readHeader(r);
-    if (!h.isOk()) {
-        return h.status();
-    }
-    if (h->kind != CodecKind::kLzss) {
-        return errCorrupted("frame is not an lzss stream");
-    }
-
-    Result<ByteSpan> payload_r = r.view(r.remaining());
-    if (!payload_r.isOk()) {
-        return payload_r.status();
-    }
-    ByteSpan body = *payload_r;
-    const u64 out_size = h->decompressed_size;
     // 17 bytes (a flag byte, eight 2-byte matches) decode to at most
-    // 8 * kMaxMatch = 144: reject a larger declared size as forged.
-    if (out_size > u64{8 * kMaxMatch} * body.size() / 17) {
-        return errCorrupted("lzss: declared size exceeds what the payload "
-                            "can encode");
-    }
+    // 8 * kMaxMatch = 144.
+    return u64{8 * kMaxMatch} * payload_size / 17;
+}
 
-    ByteVec out;
-    out.reserve(out_size);
-
+Result<u64>
+LzssCodec::decompressInto(ByteSpan stream, MutByteSpan out) const
+{
+    SEVF_ASSIGN_OR_RETURN(detail::Frame f,
+                          detail::openFrame(stream, kind(), out));
+    ByteSpan body = f.payload;
+    u8 *dst = f.out.data();
+    const std::size_t size = f.out.size();
+    std::size_t op = 0;
     std::size_t ip = 0;
     u8 flags = 0;
     int flag_bit = 8;
-    while (out.size() < out_size) {
+    while (op < size) {
         if (flag_bit == 8) {
             if (ip >= body.size()) {
                 return errCorrupted("lzss: truncated flag byte");
@@ -167,28 +156,23 @@ LzssCodec::decompress(ByteSpan stream) const
             ip += 2;
             std::size_t offset = (pair >> 4) + 1;
             std::size_t len = (pair & 0x0f) + kMinMatch;
-            if (offset > out.size()) {
+            if (offset > op) {
                 return errCorrupted("lzss: match offset before start");
             }
-            if (out.size() + len > out_size) {
+            if (len > size - op) {
                 return errCorrupted("lzss: match overflows declared size");
             }
-            std::size_t from = out.size() - offset;
-            for (std::size_t i = 0; i < len; ++i) {
-                out.push_back(out[from + i]);
+            for (std::size_t i = 0; i < len; ++i, ++op) {
+                dst[op] = dst[op - offset];
             }
         } else {
             if (ip >= body.size()) {
                 return errCorrupted("lzss: truncated literal");
             }
-            out.push_back(body[ip++]);
+            dst[op++] = body[ip++];
         }
     }
-
-    if (out.size() != out_size) {
-        return errCorrupted("lzss: decompressed size mismatch");
-    }
-    return out;
+    return size;
 }
 
 } // namespace sevf::compress

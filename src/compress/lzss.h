@@ -17,7 +17,15 @@ class LzssCodec : public Codec
   public:
     CodecKind kind() const override { return CodecKind::kLzss; }
     ByteVec compress(ByteSpan input) const override;
-    Result<ByteVec> decompress(ByteSpan stream) const override;
+    Result<u64> decompressInto(ByteSpan stream,
+                               MutByteSpan out) const override;
+    Result<ByteVec> decompress(ByteSpan stream) const override
+    {
+        return decompressChecked(stream);
+    }
+
+  protected:
+    u64 maxDecodedSize(u64 payload_size) const override;
 };
 
 } // namespace sevf::compress

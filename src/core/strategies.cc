@@ -22,6 +22,7 @@
 #include "guest/bootstrap_loader.h"
 #include "image/bzimage.h"
 #include "image/elf.h"
+#include "memory/dram.h"
 #include "obs/families.h"
 #include "obs/span.h"
 #include "psp/psp.h"
@@ -99,13 +100,23 @@ runVerifierStage(memory::GuestMemory &mem,
     return boot_verifier.run(inputs);
 }
 
-/** The bzImage bootstrap loader under its sim phase's wall span. */
+/**
+ * The bzImage bootstrap loader under its sim phase's wall span. Its
+ * decompression area is a host buffer as large as guest RAM, on 2 MiB
+ * pages (memory/dram.h), mapped lazily and freed when the loader
+ * returns; the loader decodes into no more of it than the setup
+ * header's init_size. Like the span, the area lives outside the root
+ * of trust: memory/dram is banned from its closure.
+ */
 Result<guest::LoadedKernel>
 runLoaderStage(memory::GuestMemory &mem, Gpa bzimage_gpa, u64 size,
                const guest::KaslrConfig &kaslr = {})
 {
     SEVF_SPAN(kBootstrapLoader);
-    return guest::runBootstrapLoader(mem, bzimage_gpa, size, true, kaslr);
+    memory::DramBuffer decode_area(mem.size());
+    return guest::runBootstrapLoader(
+        mem, bzimage_gpa, size, true,
+        MutByteSpan(decode_area.data(), decode_area.size()), kaslr);
 }
 
 /**
@@ -940,6 +951,9 @@ BootStrategy::launchFromTemplate(Platform &platform,
                   platform.allocateSpaWindow(request.vm.memory_size),
                   /*asid=*/0);
     vmm::MicroVm &vm = *vm_ptr;
+    // A restore writes a few scattered pages: keep them 4 KiB, since
+    // each touch of a 2 MiB page would fault in a whole huge page.
+    vm.memory().useSmallPages();
     if (vm.memory().size() != t.snapshot.memory_size) {
         return errInvalidState(
             "cached template does not match the VM memory size");

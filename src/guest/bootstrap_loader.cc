@@ -61,20 +61,27 @@ pickSlide(const KaslrConfig &kaslr)
 
 Result<LoadedKernel>
 runBootstrapLoader(memory::GuestMemory &mem, Gpa bzimage_gpa, u64 size,
-                   bool c_bit, const KaslrConfig &kaslr) SEVF_TCB
+                   bool c_bit, MutByteSpan decode_area,
+                   const KaslrConfig &kaslr) SEVF_TCB
 {
     SEVF_ASSIGN_OR_RETURN(ByteVec file,
                           mem.guestRead(bzimage_gpa, size, c_bit));
-
     SEVF_ASSIGN_OR_RETURN(image::BzImageInfo info, image::parseBzImage(file));
-    SEVF_ASSIGN_OR_RETURN(ByteVec vmlinux, image::extractVmlinux(file));
-    SEVF_ASSIGN_OR_RETURN(image::ElfView elf, image::parseElfView(vmlinux));
+    SEVF_ASSIGN_OR_RETURN(ByteSpan payload, image::bzImagePayload(file));
+    // Decode bounded by the header's init_size, whatever the area's size.
+    MutByteSpan area =
+        decode_area.first(std::min<u64>(decode_area.size(), info.init_size));
+    SEVF_ASSIGN_OR_RETURN(
+        u64 decoded,
+        compress::codecFor(info.codec).decompressInto(payload, area));
+    SEVF_ASSIGN_OR_RETURN(image::ElfView elf,
+                          image::parseElfView(area.first(decoded)));
     u64 slide = pickSlide(kaslr);
     SEVF_ASSIGN_OR_RETURN(u64 loaded, placeSegments(mem, elf, c_bit, slide));
 
     LoadedKernel out;
     out.entry = elf.entry + slide;
-    out.decompressed_bytes = vmlinux.size();
+    out.decompressed_bytes = decoded;
     out.loaded_bytes = loaded;
     out.kaslr_slide = slide;
     out.codec = info.codec;

@@ -46,10 +46,15 @@ struct KaslrConfig {
  * @param c_bit whether the image (and the load destinations) are in
  *        encrypted memory (true on the SEV path, false for a plain
  *        bzImage boot)
+ * @param decode_area the decompression area: the setup header's
+ *        init_size bytes, which the x86 boot protocol reserves. The
+ *        vmlinux is decoded into its first init_size bytes, and a frame
+ *        that declares more fails with kCorrupted before any byte is
+ *        written. Its segments are placed from there.
  */
 Result<LoadedKernel> runBootstrapLoader(memory::GuestMemory &mem,
                                         Gpa bzimage_gpa, u64 size,
-                                        bool c_bit,
+                                        bool c_bit, MutByteSpan decode_area,
                                         const KaslrConfig &kaslr = {});
 
 /**

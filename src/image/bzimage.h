@@ -58,8 +58,9 @@ Result<BzImageInfo> parseBzImage(ByteSpan file);
 Result<ByteSpan> bzImagePayload(ByteSpan file);
 
 /**
- * What the in-guest bootstrap loader does: locate the payload and
- * decompress it back into the vmlinux ELF.
+ * Locate the payload and decompress it back into the vmlinux ELF, as a
+ * fresh vector. The in-guest bootstrap loader decodes the same payload
+ * into its init_size decompression area instead (guest/bootstrap_loader.h).
  */
 Result<ByteVec> extractVmlinux(ByteSpan file);
 

@@ -19,7 +19,8 @@ DramBuffer::DramBuffer(u64 size) : size_(size)
     // slower first touch, identical guest-visible contents, so launch
     // measurements are unaffected.
     Status injected = fault::FaultInjector::instance().check(
-        fault::FaultSite::kDramMmap, "anonymous guest DRAM mapping");
+        fault::FaultSite::kDramMmap,
+        "anonymous mapping for guest DRAM or a loader decode area");
 #ifdef __linux__
     if (injected.isOk()) {
         void *p = ::mmap(nullptr, size_, PROT_READ | PROT_WRITE,
@@ -27,6 +28,9 @@ DramBuffer::DramBuffer(u64 size) : size_(size)
         if (p != MAP_FAILED) {
             data_ = static_cast<u8 *>(p);
             mapped_ = true;
+            // Advice only (dram.h): it fails harmlessly where THP is
+            // compiled out, leaving 4 KiB pages.
+            ::madvise(p, size_, MADV_HUGEPAGE);
             return;
         }
     }
@@ -36,6 +40,16 @@ DramBuffer::DramBuffer(u64 size) : size_(size)
     obs::kDramMmapFallback.add();
     fallback_.resize(size_, 0);
     data_ = fallback_.data();
+}
+
+void
+DramBuffer::useSmallPages()
+{
+#ifdef __linux__
+    if (mapped_) {
+        ::madvise(data_, size_, MADV_NOHUGEPAGE);
+    }
+#endif
 }
 
 DramBuffer::~DramBuffer()

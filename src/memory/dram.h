@@ -1,6 +1,7 @@
 /**
  * @file
- * Zero-on-demand DRAM backing for guest memory.
+ * Zero-on-demand DRAM backing for guest memory and for the bootstrap
+ * loader's decompression area.
  *
  * A freshly created VM's memory is all zeros, but value-initializing a
  * ByteVec pays an eager memset over the whole guest (130+ ms for a
@@ -9,6 +10,20 @@
  * first touch; DramBuffer does the same, with a ByteVec fallback on
  * platforms without mmap. Reads of never-written pages hit the shared
  * zero page and allocate nothing.
+ *
+ * Backing rule: every mapping is advised onto transparent 2 MiB pages
+ * (MADV_HUGEPAGE). A cold launch writes its buffers densely (the
+ * decoded vmlinux, the kernel segments, the verifier's private copies),
+ * so one fault per 2 MiB replaces 512 first-touch faults, and teardown
+ * unmaps a few hundred huge pages instead of tens of thousands of
+ * 4 KiB ones — the host-side counterpart of the paper's §6.1 2 MiB
+ * pvalidate result.
+ *
+ * The one opt-out, useSmallPages(), is for buffers written sparsely. A
+ * VM restored from a template touches a few scattered pages, and on
+ * 2 MiB pages each touch would fault in and zero a whole huge page.
+ * The advice is only advice: with THP set to `never`, or on the heap
+ * fallback, every buffer gets 4 KiB pages and behaves as before.
  */
 #ifndef SEVF_MEMORY_DRAM_H_
 #define SEVF_MEMORY_DRAM_H_
@@ -30,6 +45,12 @@ class DramBuffer
 
     DramBuffer(const DramBuffer &) = delete;
     DramBuffer &operator=(const DramBuffer &) = delete;
+
+    /**
+     * Back this buffer with 4 KiB pages (MADV_NOHUGEPAGE). Call before
+     * the first write: pages already faulted in keep their size.
+     */
+    void useSmallPages();
 
     u8 *data() { return data_; }
     const u8 *data() const { return data_; }

@@ -103,6 +103,13 @@ class GuestMemory
     Rmp &rmp() { return rmp_; }
     const Rmp &rmp() const { return rmp_; }
 
+    /**
+     * Back this guest's DRAM with 4 KiB pages instead of 2 MiB ones
+     * (DramBuffer::useSmallPages): a VM restored from a template opts
+     * out before its first write, because it touches few pages.
+     */
+    void useSmallPages() { dram_.useSmallPages(); }
+
     // ---- Host-side accessors (the VMM / a would-be attacker) ----
 
     /**
@@ -243,8 +250,8 @@ class GuestMemory
      * the same bytes either way. DramBuffer so a fresh VM's zero pages
      * are lazily faulted instead of eagerly memset (memory/dram.h);
      * bytes_ caches its span so the TCB-reachable access paths touch
-     * no DramBuffer accessor (keeps memory/dram out of the verifier
-     * closure inventoried in tools/tcb-baseline.json).
+     * no DramBuffer accessor (memory/dram is banned from the verifier
+     * closure: tools/tcb-budget.txt, tools/tcb-baseline.json).
      */
     mutable DramBuffer dram_;
     mutable MutByteSpan bytes_;

@@ -2,6 +2,7 @@
 
 #include "base/bytes.h"
 #include "image/elf.h"
+#include "obs/span.h"
 #include "vmm/boot_params.h"
 #include "vmm/layout.h"
 #include "vmm/mptable.h"
@@ -10,10 +11,17 @@ namespace sevf::vmm {
 
 MicroVm::MicroVm(VmConfig config, Spa spa_base, u32 asid,
                  memory::SevMode mode)
-    : config_(std::move(config)),
-      memory_(std::make_unique<memory::GuestMemory>(config_.memory_size,
-                                                    spa_base, asid, mode))
+    : config_(std::move(config))
 {
+    SEVF_SPAN("vmm.create");
+    memory_ = std::make_unique<memory::GuestMemory>(config_.memory_size,
+                                                    spa_base, asid, mode);
+}
+
+MicroVm::~MicroVm()
+{
+    SEVF_SPAN("vmm.destroy");
+    memory_.reset();
 }
 
 Result<BootStructs>

@@ -60,6 +60,9 @@ class MicroVm
 {
   public:
     /**
+     * Construction (guest DRAM mapping, RMP and taint shadow) runs under
+     * the `vmm.create` wall span, destruction under `vmm.destroy`.
+     *
      * @param config machine shape
      * @param spa_base this VM's system-physical window (distinct per VM)
      * @param asid SEV ASID (0 for a non-SEV guest)
@@ -67,6 +70,7 @@ class MicroVm
      */
     MicroVm(VmConfig config, Spa spa_base, u32 asid,
             memory::SevMode mode = memory::SevMode::kSevSnp);
+    ~MicroVm();
 
     MicroVm(const MicroVm &) = delete;
     MicroVm &operator=(const MicroVm &) = delete;

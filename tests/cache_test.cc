@@ -9,9 +9,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "cache/launch_key.h"
@@ -21,6 +25,7 @@
 #include "core/drr_scheduler.h"
 #include "core/launch.h"
 #include "memory/guest_memory.h"
+#include "vmm/microvm.h"
 #include "workload/synthetic.h"
 
 namespace sevf {
@@ -669,6 +674,83 @@ TEST(CowTest, RawViewMaterializesEverything)
     EXPECT_EQ(mem.cowMaterializedCount(), 3u);
     EXPECT_EQ(raw[kPageSize], 0x11);
     EXPECT_EQ(raw[0], 0);
+}
+
+// ===================================================================
+// Page backing of guest DRAM (memory/dram.h)
+// ===================================================================
+
+/** The kernel or this process has transparent huge pages switched off. */
+bool
+thpOff()
+{
+    std::ifstream enabled("/sys/kernel/mm/transparent_hugepage/enabled");
+    std::string modes;
+    std::getline(enabled, modes);
+    if (modes.empty() || modes.find("[never]") != std::string::npos) {
+        return true;
+    }
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("THP_enabled:", 0) == 0) {
+            return line.find('0') != std::string::npos;
+        }
+    }
+    return false;
+}
+
+/**
+ * THPeligible of the /proc/self/smaps mapping holding @p addr, or
+ * nullopt when the field is absent.
+ */
+std::optional<int>
+thpEligible(const void *addr)
+{
+    const auto a = reinterpret_cast<std::uintptr_t>(addr);
+    std::ifstream smaps("/proc/self/smaps");
+    bool inside = false;
+    std::string line;
+    while (std::getline(smaps, line)) {
+        unsigned long long lo = 0;
+        unsigned long long hi = 0;
+        if (std::sscanf(line.c_str(), "%llx-%llx", &lo, &hi) == 2) {
+            inside = lo <= a && a < hi;
+        } else if (inside && line.rfind("THPeligible:", 0) == 0) {
+            return std::stoi(line.substr(std::strlen("THPeligible:")));
+        }
+    }
+    return std::nullopt;
+}
+
+TEST(PageBackingTest, ColdVmOnHugePagesRestoredVmOnSmallPages)
+{
+    // Guards warm_serve: a restore touches few pages, and on 2 MiB
+    // pages each touch would fault in a whole huge page. Reads only.
+    if (thpOff()) {
+        GTEST_SKIP() << "transparent huge pages are off";
+    }
+    core::Platform platform(sim::CostParams::deterministic());
+    core::LaunchRequest req = smallRequest();
+    req.keep_vm = true;
+    std::unique_ptr<core::BootStrategy> strategy =
+        core::makeStrategy(core::StrategyKind::kSeveriFastBz);
+    Result<core::LaunchResult> cold = strategy->launch(platform, req);
+    ASSERT_TRUE(cold.isOk()) << cold.status().toString();
+    ASSERT_FALSE(cold->cache_hit);
+    Result<core::LaunchResult> warm = strategy->launch(platform, req);
+    ASSERT_TRUE(warm.isOk()) << warm.status().toString();
+    ASSERT_TRUE(warm->cache_hit);
+
+    std::optional<int> cold_thp =
+        thpEligible(cold->vm->memory().raw().data());
+    std::optional<int> warm_thp =
+        thpEligible(warm->vm->memory().raw().data());
+    if (!cold_thp || !warm_thp) {
+        GTEST_SKIP() << "no THPeligible field in /proc/self/smaps";
+    }
+    EXPECT_EQ(*cold_thp, 1) << "cold guest DRAM is advised MADV_HUGEPAGE";
+    EXPECT_EQ(*warm_thp, 0) << "a restored VM keeps 4 KiB pages";
 }
 
 // ===================================================================

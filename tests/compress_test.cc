@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 
@@ -193,11 +194,20 @@ TEST(GzipLite, RejectsCorruptHuffmanHeader)
 
 // ------------------------------------------------------------- lz4 spec
 
+/** Lz4Codec::decompressBlock into a fresh @p size-byte area. */
+Result<ByteVec>
+decodeBlock(ByteSpan block, std::size_t size)
+{
+    ByteVec out(size);
+    SEVF_RETURN_IF_ERROR(Lz4Codec::decompressBlock(block, out));
+    return out;
+}
+
 TEST(Lz4Block, LiteralOnlyBlockDecodes)
 {
     // Hand-built block: token=0x50 (5 literals, no match), "hello".
     ByteVec block = {0x50, 'h', 'e', 'l', 'l', 'o'};
-    Result<ByteVec> out = Lz4Codec::decompressBlock(block, 5);
+    Result<ByteVec> out = decodeBlock(block, 5);
     ASSERT_TRUE(out.isOk());
     EXPECT_EQ(*out, toBytes("hello"));
 }
@@ -207,7 +217,7 @@ TEST(Lz4Block, MatchWithOverlapDecodes)
     // "abc" then a match of length 9 at offset 3 => "abcabcabcabc".
     // token = lit 3, matchlen code 9-4=5 => 0x35; offset 3 LE.
     ByteVec block = {0x35, 'a', 'b', 'c', 0x03, 0x00};
-    Result<ByteVec> out = Lz4Codec::decompressBlock(block, 12);
+    Result<ByteVec> out = decodeBlock(block, 12);
     ASSERT_TRUE(out.isOk());
     EXPECT_EQ(*out, toBytes("abcabcabcabc"));
 }
@@ -221,7 +231,7 @@ TEST(Lz4Block, ExtendedLengthsDecode)
     for (int i = 0; i < 20; ++i) {
         block.push_back(static_cast<u8>('A' + i));
     }
-    Result<ByteVec> out = Lz4Codec::decompressBlock(block, 20);
+    Result<ByteVec> out = decodeBlock(block, 20);
     ASSERT_TRUE(out.isOk());
     EXPECT_EQ(out->size(), 20u);
     EXPECT_EQ((*out)[19], 'T');
@@ -231,27 +241,75 @@ TEST(Lz4Block, RejectsBadOffset)
 {
     // Match offset 10 with only 3 bytes of output so far.
     ByteVec block = {0x35, 'a', 'b', 'c', 0x0a, 0x00};
-    EXPECT_FALSE(Lz4Codec::decompressBlock(block, 12).isOk());
+    EXPECT_FALSE(decodeBlock(block, 12).isOk());
 }
 
 TEST(Lz4Block, RejectsZeroOffset)
 {
     ByteVec block = {0x35, 'a', 'b', 'c', 0x00, 0x00};
-    EXPECT_FALSE(Lz4Codec::decompressBlock(block, 12).isOk());
+    EXPECT_FALSE(decodeBlock(block, 12).isOk());
 }
 
 TEST(Lz4Block, RejectsTruncatedLiterals)
 {
     ByteVec block = {0x50, 'h', 'e'};
-    EXPECT_FALSE(Lz4Codec::decompressBlock(block, 5).isOk());
+    EXPECT_FALSE(decodeBlock(block, 5).isOk());
 }
 
 TEST(Lz4Block, RejectsSizeMismatch)
 {
     ByteVec block = {0x50, 'h', 'e', 'l', 'l', 'o'};
-    EXPECT_FALSE(Lz4Codec::decompressBlock(block, 9).isOk());
-    EXPECT_FALSE(Lz4Codec::decompressBlock(block, 3).isOk());
+    EXPECT_FALSE(decodeBlock(block, 9).isOk());
+    EXPECT_FALSE(decodeBlock(block, 3).isOk());
 }
+
+// ------------------------------------------------ decode into an area
+
+/**
+ * The one decode loop per codec, against the caller's area: an exact
+ * fit, a larger area (only the declared bytes are written) and an area
+ * one byte short (kCorrupted before anything is written).
+ */
+class DecodeInto : public ::testing::TestWithParam<CodecKind>
+{
+};
+
+TEST_P(DecodeInto, ExactLargerAndShortAreas)
+{
+    const Codec &codec = codecFor(GetParam());
+    const ByteVec data = kernelLike(20000, 13);
+    const ByteVec stream = codec.compress(data);
+    constexpr u8 kFill = 0xa5;
+
+    ByteVec exact(data.size(), kFill);
+    Result<u64> n = codec.decompressInto(stream, exact);
+    ASSERT_TRUE(n.isOk()) << n.status().toString();
+    EXPECT_EQ(*n, data.size());
+    EXPECT_EQ(exact, data);
+
+    ByteVec larger(data.size() + 100, kFill);
+    n = codec.decompressInto(stream, larger);
+    ASSERT_TRUE(n.isOk()) << n.status().toString();
+    EXPECT_EQ(*n, data.size());
+    EXPECT_EQ(ByteVec(larger.begin(), larger.begin() + data.size()), data);
+    EXPECT_EQ(ByteVec(larger.begin() + data.size(), larger.end()),
+              ByteVec(100, kFill));
+
+    ByteVec short_by_one(data.size() - 1, kFill);
+    EXPECT_EQ(codec.decompressInto(stream, short_by_one).status().code(),
+              ErrorCode::kCorrupted);
+    EXPECT_EQ(short_by_one, ByteVec(data.size() - 1, kFill));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCodecs, DecodeInto,
+    ::testing::Values(CodecKind::kNone, CodecKind::kLz4, CodecKind::kLzss,
+                      CodecKind::kGzipLite),
+    [](const ::testing::TestParamInfo<CodecKind> &info) {
+        std::string name = codecName(info.param);
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
 // --------------------------------------------------------- frame errors
 
@@ -298,7 +356,7 @@ TEST(Frame, CorruptPayloadDetected)
  * The codec's own 100 KB stream with the frame's declared size (u64 LE
  * after magic, kind and reserved bytes) patched to 2^50. A decoder may
  * size its output from that field only after checking it against what
- * the payload can encode; gzip-lite does not size from it at all.
+ * the payload can encode (Codec::decompress does, for every codec).
  */
 Status
 decodeForgedSize(CodecKind kind)
@@ -338,6 +396,19 @@ TEST(ForgedSize, Lz4BoundAdmitsTheMostCompressibleInput)
     ByteVec zeros(64u << 20, 0);
     ByteVec stream = lz4.compress(zeros);
     Result<ByteVec> back = lz4.decompress(stream);
+    ASSERT_TRUE(back.isOk()) << back.status().toString();
+    EXPECT_EQ(*back, zeros);
+}
+
+TEST(ForgedSize, GzipLiteBoundAdmitsTheMostCompressibleInput)
+{
+    // A run of one byte is gzip-lite's best case: 130-byte matches at
+    // distance 1, each a 1-bit code plus 6 fixed bits, right at the
+    // 130-bytes-per-7-bits expansion bound.
+    const Codec &gz = codecFor(CodecKind::kGzipLite);
+    ByteVec zeros(8u << 20, 0);
+    ByteVec stream = gz.compress(zeros);
+    Result<ByteVec> back = gz.decompress(stream);
     ASSERT_TRUE(back.isOk()) << back.status().toString();
     EXPECT_EQ(*back, zeros);
 }

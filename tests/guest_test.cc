@@ -44,6 +44,16 @@ class BootstrapLoaderTest : public ::testing::Test
     {
     }
 
+    /** runBootstrapLoader with a decode area of the image's init_size. */
+    static Result<LoadedKernel>
+    load(memory::GuestMemory &mem, Gpa gpa, ByteSpan bz, bool c_bit,
+         const KaslrConfig &kaslr = {})
+    {
+        Result<image::BzImageInfo> info = image::parseBzImage(bz);
+        ByteVec area(info.isOk() ? info->init_size : 0);
+        return runBootstrapLoader(mem, gpa, bz.size(), c_bit, area, kaslr);
+    }
+
     const workload::KernelArtifacts &art_;
 };
 
@@ -52,7 +62,7 @@ TEST_F(BootstrapLoaderTest, PlainBzImageBoot)
     memory::GuestMemory mem(64 * kMiB, kSpaBase, 0);
     ASSERT_TRUE(mem.hostWrite(0x2000000, art_.bzimage).isOk());
     Result<LoadedKernel> loaded =
-        runBootstrapLoader(mem, 0x2000000, art_.bzimage.size(), false);
+        load(mem, 0x2000000, art_.bzimage, false);
     ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
     EXPECT_EQ(loaded->entry, art_.entry);
     EXPECT_EQ(loaded->decompressed_bytes, art_.vmlinux.size());
@@ -80,7 +90,7 @@ TEST_F(BootstrapLoaderTest, EncryptedBzImageBoot)
 
     ASSERT_TRUE(mem.guestWrite(0x3000000, art_.bzimage, true).isOk());
     Result<LoadedKernel> loaded =
-        runBootstrapLoader(mem, 0x3000000, art_.bzimage.size(), true);
+        load(mem, 0x3000000, art_.bzimage, true);
     ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
     EXPECT_EQ(loaded->entry, art_.entry);
 
@@ -99,8 +109,33 @@ TEST_F(BootstrapLoaderTest, CorruptImageRejected)
     ByteVec evil = art_.bzimage;
     evil[0x202] = 'X'; // break HdrS
     ASSERT_TRUE(mem.hostWrite(0x2000000, evil).isOk());
-    EXPECT_FALSE(
-        runBootstrapLoader(mem, 0x2000000, evil.size(), false).isOk());
+    EXPECT_FALSE(load(mem, 0x2000000, evil, false).isOk());
+}
+
+TEST_F(BootstrapLoaderTest, FrameDeclaringMoreThanInitSizeIsCorrupt)
+{
+    // The payload frame declares one byte more than the setup header's
+    // init_size: far inside LZ4's 255x expansion bound, but more than
+    // the decompression area the boot protocol reserves. The area is
+    // handed over a page larger than init_size, so the bound must come
+    // from the header, and nothing may be decoded into the area.
+    Result<image::BzImageInfo> info = image::parseBzImage(art_.bzimage);
+    ASSERT_TRUE(info.isOk());
+    const u64 frame = info->pm_offset + info->payload_offset;
+    const u64 declared = info->init_size + 1;
+    ASSERT_LT(declared, u64{255} * info->payload_length);
+    ByteVec evil = art_.bzimage;
+    storeLe<u64>(evil.data() + frame + 8, declared); // frame size field
+
+    memory::GuestMemory mem(64 * kMiB, kSpaBase, 0);
+    ASSERT_TRUE(mem.hostWrite(0x2000000, evil).isOk());
+    const ByteVec untouched(info->init_size + kPageSize, 0x5a);
+    ByteVec area = untouched;
+    Result<LoadedKernel> loaded =
+        runBootstrapLoader(mem, 0x2000000, evil.size(), false, area);
+    EXPECT_EQ(loaded.status().code(), ErrorCode::kCorrupted)
+        << loaded.status().toString();
+    EXPECT_EQ(area, untouched);
 }
 
 TEST_F(BootstrapLoaderTest, DirectVmlinuxLoad)
@@ -123,8 +158,8 @@ TEST_F(BootstrapLoaderTest, GuestKaslrSlidesKernel)
     kaslr.enabled = true;
     kaslr.seed = 0xabc;
     kaslr.max_slide = 16 * kMiB;
-    Result<LoadedKernel> loaded = runBootstrapLoader(
-        mem, 0x4000000, art_.bzimage.size(), false, kaslr);
+    Result<LoadedKernel> loaded = load(
+        mem, 0x4000000, art_.bzimage, false, kaslr);
     ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
     EXPECT_EQ(loaded->kaslr_slide % kHugePageSize, 0u);
     EXPECT_LT(loaded->kaslr_slide, 16 * kMiB);
@@ -146,8 +181,8 @@ TEST_F(BootstrapLoaderTest, KaslrSeedsProduceDifferentSlides)
     std::set<u64> slides;
     for (u64 seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
         KaslrConfig kaslr{true, seed, 32 * kMiB};
-        Result<LoadedKernel> loaded = runBootstrapLoader(
-            mem, 0x4000000, art_.bzimage.size(), false, kaslr);
+        Result<LoadedKernel> loaded = load(
+            mem, 0x4000000, art_.bzimage, false, kaslr);
         ASSERT_TRUE(loaded.isOk());
         slides.insert(loaded->kaslr_slide);
     }
@@ -158,8 +193,8 @@ TEST_F(BootstrapLoaderTest, KaslrDisabledMeansZeroSlide)
 {
     memory::GuestMemory mem(64 * kMiB, kSpaBase, 0);
     ASSERT_TRUE(mem.hostWrite(0x2000000, art_.bzimage).isOk());
-    Result<LoadedKernel> loaded = runBootstrapLoader(
-        mem, 0x2000000, art_.bzimage.size(), false, KaslrConfig{});
+    Result<LoadedKernel> loaded = load(
+        mem, 0x2000000, art_.bzimage, false, KaslrConfig{});
     ASSERT_TRUE(loaded.isOk());
     EXPECT_EQ(loaded->kaslr_slide, 0u);
     EXPECT_EQ(loaded->entry, art_.entry);

@@ -8,6 +8,7 @@
 
 #include "base/bytes.h"
 #include "guest/bootstrap_loader.h"
+#include "image/bzimage.h"
 #include "image/elf.h"
 #include "psp/psp.h"
 #include "verifier/boot_verifier.h"
@@ -141,8 +142,12 @@ TEST_F(SevLaunchFixture, BzImagePathVerifiesAndLoads)
               ByteVec(art_.bzimage.begin(), art_.bzimage.begin() + 64));
 
     // Bootstrap loader decompresses and places the real kernel.
+    Result<image::BzImageInfo> info = image::parseBzImage(art_.bzimage);
+    ASSERT_TRUE(info.isOk());
+    ByteVec decode_area(info->init_size);
     Result<guest::LoadedKernel> loaded = guest::runBootstrapLoader(
-        vm_->memory(), boot->kernel_gpa, boot->kernel_size, true);
+        vm_->memory(), boot->kernel_gpa, boot->kernel_size, true,
+        decode_area);
     ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
     EXPECT_EQ(loaded->entry, art_.entry);
     EXPECT_EQ(loaded->codec, compress::CodecKind::kLz4);

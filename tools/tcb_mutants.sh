@@ -11,7 +11,12 @@
 #      DEFLATE stack);
 #   B  the bzImage parser loses its payload bounds check - the
 #      untrusted-input bounds pass (untrusted-bounds) must flag the
-#      now-unguarded subspan.
+#      now-unguarded subspan;
+#   C  a guest-memory write the verifier reaches calls into
+#      memory/dram - tcb-reach must flag it (the root of trust never
+#      manages host mappings);
+#   D  as A, through gzip-lite's decode-into entry point
+#      (decompressInto) instead of decompress.
 #
 # A clean baseline run over the unmutated copy guards against
 # environmental noise being mistaken for detection.
@@ -78,5 +83,19 @@ fresh_copy
 sed -i 's/payload_file_off + info\.payload_length > file\.size()/false/' \
     "$tmp/src/image/bzimage.cc"
 expect_rule B untrusted-bounds
+
+# Mutant C: GuestMemory::guestWrite reaches the DRAM mapping.
+fresh_copy
+sed -i '/^GuestMemory::guestWrite(/,/^}/ s/    materializeRange(gpa, data.size());/&\
+    dram_.useSmallPages();/' "$tmp/src/memory/guest_memory.cc"
+expect_rule C tcb-reach
+
+# Mutant D: verifier reaches the DEFLATE stack through decompressInto.
+fresh_copy
+sed -i 's/    VerifiedBoot out;/    VerifiedBoot out;\
+    compress::GzipLiteCodec gz = compress::GzipLiteCodec();\
+    gz.decompressInto(ByteSpan(), MutByteSpan());/' \
+    "$tmp/src/verifier/boot_verifier.cc"
+expect_rule D tcb-reach
 
 echo "tcb_mutants: all mutants caught"
