@@ -149,12 +149,13 @@ main()
     {
         core::Platform pipe_platform;
         core::AdmissionPipeline pipeline(pipe_platform);
+        pipeline.setTenantLimits("burst", {});
         workers = pipeline.workers();
         std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
         tickets.reserve(kBurst);
         for (int i = 0; i < kBurst; ++i) {
             tickets.push_back(pipeline.submit(
-                core::StrategyKind::kSeveriFastBz, burst_request));
+                "burst", core::StrategyKind::kSeveriFastBz, burst_request));
         }
         for (std::shared_ptr<core::LaunchTicket> &ticket : tickets) {
             Result<core::LaunchResult> r = ticket->take();

@@ -6,17 +6,25 @@
  * A light tenant submits sparse launches against a heavy tenant with
  * 8x its volume already queued in the same LaunchService. The deficit
  * round-robin scheduler must keep the light tenant's p50 latency within
- * 2x of its solo (uncontended) p50: an entering tenant takes the ring
- * head, so each light launch waits only for the in-service launch
- * (~0.5 service times expected) before running. A FIFO queue would
- * park it behind the entire heavy backlog. One worker, and a queue deep
- * enough that submit() never blocks, so the measurement isolates
- * scheduling from backpressure and from host-core time sharing.
+ * 2x of its solo (uncontended) p50. At equal weights the two alternate,
+ * so each light launch waits only for the heavy launch in service when
+ * it arrives. A seeded delay in [0, solo p50) before each light submit
+ * makes that arrival a uniform point within the heavy launch, so the
+ * expected wait is half a service time and the expected ratio ~1.5x,
+ * whichever thread wins the race to the next dispatch. (Submitting at
+ * once would arrive just as the next heavy launch starts: ~2x, the
+ * bound itself, or ~1x on one core.) A FIFO queue would park it behind
+ * the entire heavy backlog. One worker, and a queue deep enough that
+ * submit() never blocks, so the measurement isolates scheduling from
+ * backpressure and from host-core time sharing.
  */
 #include <algorithm>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "base/json.h"
+#include "base/rng.h"
 #include "bench/common.h"
 #include "service/launch_service.h"
 #include "workload/synthetic.h"
@@ -70,77 +78,78 @@ main()
 
     bench::banner("Service fairness",
                   "light-tenant p50 against an 8:1 heavy backlog (DRR)");
-    constexpr int kLightSamples = 16;
-    constexpr int kHeavyBacklog = 8 * kLightSamples;
+    constexpr int kRounds = 16;
+    constexpr int kLightPerRound = 8;
+    constexpr int kLightSamples = kRounds * kLightPerRound;
+    constexpr int kHeavyBacklog = 8 * kLightPerRound;
 
-    // Solo baseline: the light tenant alone, sequential submits, so the
-    // p50 is pure service time with no queueing (self-inflicted or
-    // otherwise).
-    double solo_p50 = 0;
-    {
-        core::Platform platform(sim::CostParams::deterministic());
-        service::TenantRegistry registry;
-        service::ServiceConfig config;
-        config.workers = 1;
-        service::LaunchService svc(platform, registry, config);
-        if (!svc.registerTenant("light", {}).isOk()) {
-            fatal("registerTenant failed");
-        }
-        (void)timedLaunch(svc, "light"); // cold build, warms the cache
-        std::vector<double> samples;
-        for (int i = 0; i < kLightSamples; ++i) {
-            samples.push_back(timedLaunch(svc, "light"));
-        }
-        solo_p50 = percentileSec(samples, 0.50);
+    // Two one-worker services on their own platforms, never busy at
+    // the same time: "solo" serves the light tenant alone (sequential
+    // submits, so its p50 is pure service time), "mixed" adds a heavy
+    // tenant at equal DRR weight — the scheduler, not a tilted quota,
+    // must protect the light tenant. Solo and mixed blocks alternate
+    // over kRounds, so a change in host speed during the run moves both
+    // p50s alike instead of the ratio.
+    core::Platform solo_platform(sim::CostParams::deterministic());
+    service::TenantRegistry solo_registry;
+    service::ServiceConfig solo_config;
+    solo_config.workers = 1;
+    service::LaunchService solo(solo_platform, solo_registry, solo_config);
+    core::Platform mixed_platform(sim::CostParams::deterministic());
+    service::TenantRegistry mixed_registry;
+    service::ServiceConfig mixed_config;
+    mixed_config.workers = 1;
+    mixed_config.queue_depth = kHeavyBacklog + kLightPerRound + 8;
+    service::LaunchService mixed(mixed_platform, mixed_registry,
+                                 mixed_config);
+    if (!solo.registerTenant("light", {}).isOk() ||
+        !mixed.registerTenant("light", {}).isOk() ||
+        !mixed.registerTenant("heavy", {}).isOk()) {
+        fatal("registerTenant failed");
     }
+    (void)timedLaunch(solo, "light");  // cold build, warms the cache
+    (void)timedLaunch(mixed, "heavy"); // warm the shared template
 
-    // Mixed run, equal DRR weights — the scheduler, not a tilted quota,
-    // must protect the light tenant. The heavy backlog is queued first
-    // (the queue is deep enough that nothing blocks in submit), then
-    // each light launch is submitted and awaited while the backlog
-    // drains around it.
-    double mixed_light_p50 = 0;
-    u64 heavy_done_at_finish = 0;
-    {
-        core::Platform platform(sim::CostParams::deterministic());
-        service::TenantRegistry registry;
-        service::ServiceConfig config;
-        config.workers = 1;
-        config.queue_depth = kHeavyBacklog + kLightSamples + 8;
-        service::LaunchService svc(platform, registry, config);
-        if (!svc.registerTenant("light", {}).isOk() ||
-            !svc.registerTenant("heavy", {}).isOk()) {
-            fatal("registerTenant failed");
+    std::vector<double> solo_samples;
+    std::vector<double> mixed_samples;
+    Rng arrivals(7);
+    for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < kLightPerRound; ++i) {
+            solo_samples.push_back(timedLaunch(solo, "light"));
         }
-        (void)timedLaunch(svc, "heavy"); // warm the shared template
+        double solo_so_far = percentileSec(solo_samples, 0.50);
+        // The heavy backlog is queued first (the queue is deep enough
+        // that nothing blocks in submit), then each light launch is
+        // submitted after its seeded delay and awaited while the
+        // backlog drains around it.
         std::vector<std::shared_ptr<core::LaunchTicket>> heavy_tickets;
         heavy_tickets.reserve(kHeavyBacklog);
         for (int i = 0; i < kHeavyBacklog; ++i) {
             heavy_tickets.push_back(
-                svc.submit("heavy", core::StrategyKind::kSeveriFastBz,
-                           benchRequest()));
+                mixed.submit("heavy", core::StrategyKind::kSeveriFastBz,
+                             benchRequest()));
         }
-        std::vector<double> light;
-        for (int i = 0; i < kLightSamples; ++i) {
-            light.push_back(timedLaunch(svc, "light"));
+        for (int i = 0; i < kLightPerRound; ++i) {
+            std::this_thread::sleep_for(std::chrono::duration<double>(
+                arrivals.nextDouble() * solo_so_far));
+            mixed_samples.push_back(timedLaunch(mixed, "light"));
         }
-        heavy_done_at_finish = svc.pipeline().stats().completed;
-        mixed_light_p50 = percentileSec(light, 0.50);
+        // The gate is meaningless if the backlog drained before the
+        // last light sample: there would have been nothing to contend
+        // with.
+        if (heavy_tickets.back()->ready()) {
+            fatal("heavy backlog drained mid-measurement in round ",
+                  round, "; raise kHeavyBacklog");
+        }
         for (auto &ticket : heavy_tickets) {
             Result<core::LaunchResult> r = ticket->take();
             if (!r.isOk()) {
                 fatal("heavy launch failed: ", r.status().toString());
             }
         }
-        // The gate is meaningless if the backlog drained before the
-        // last light sample: there would have been nothing to contend
-        // with. completed counts the warm-up + light launches too, so
-        // a full backlog would push it past kHeavyBacklog.
-        if (heavy_done_at_finish >= static_cast<u64>(kHeavyBacklog)) {
-            fatal("heavy backlog drained mid-measurement (completed=",
-                  heavy_done_at_finish, "); raise kHeavyBacklog");
-        }
     }
+    double solo_p50 = percentileSec(solo_samples, 0.50);
+    double mixed_light_p50 = percentileSec(mixed_samples, 0.50);
 
     double fairness_ratio =
         solo_p50 > 0 ? mixed_light_p50 / solo_p50 : 0.0;
@@ -148,9 +157,10 @@ main()
     std::printf("  solo light p50:        %8.2f ms\n", solo_p50 * 1e3);
     std::printf("  mixed light p50 (8:1): %8.2f ms  (%.2fx solo)\n",
                 mixed_light_p50 * 1e3, fairness_ratio);
-    bench::note("equal DRR weights: the ring-head entry for an idle "
-                "tenant, not a quota tilt, keeps the light tenant's "
-                "slot; FIFO would queue it behind the whole backlog");
+    bench::note("equal DRR weights: light and heavy alternate, so a "
+                "light launch waits out only the heavy launch in service "
+                "(~1.5x expected); FIFO would queue it behind the whole "
+                "backlog");
     if (!meets_2x) {
         fatal("fairness gate failed: light p50 ", fairness_ratio,
               "x solo (limit 2x)");
@@ -158,6 +168,7 @@ main()
 
     base::JsonWriter json;
     json.beginObject();
+    json.key("rounds").value(u64{kRounds});
     json.key("light_samples").value(u64{kLightSamples});
     json.key("heavy_backlog").value(u64{kHeavyBacklog});
     json.key("solo_p50_seconds").value(solo_p50);

@@ -9,6 +9,22 @@
 
 namespace sevf::core {
 
+namespace {
+
+/** Eagerly register @p tenant's sevf_service_* series, so exports list
+ *  them zero-valued before its first submit. */
+void
+registerSeries(const std::string &tenant)
+{
+    obs::kServiceSubmitted.metric(tenant);
+    obs::kServiceCompleted.metric(tenant);
+    obs::kServiceFailed.metric(tenant);
+    obs::kServiceRejected.metric(tenant);
+    obs::kServiceLatencyNs.metric(tenant);
+}
+
+} // namespace
+
 Result<LaunchResult>
 LaunchTicket::take()
 {
@@ -30,12 +46,23 @@ LaunchTicket::ready() const
     return result_.has_value();
 }
 
+LaunchOutcome
+LaunchTicket::outcome() const
+{
+    base::MutexLock lock(mu_);
+    while (!result_.has_value()) {
+        done_.wait(lock.native());
+    }
+    return outcome_;
+}
+
 void
-LaunchTicket::complete(Result<LaunchResult> result)
+LaunchTicket::complete(Result<LaunchResult> result, LaunchOutcome outcome)
 {
     {
         base::MutexLock lock(mu_);
         result_.emplace(std::move(result));
+        outcome_ = outcome;
     }
     done_.notify_all();
 }
@@ -46,10 +73,12 @@ AdmissionPipeline::AdmissionPipeline(Platform &platform,
       queue_limit_(config.queue_depth == 0 ? 1 : config.queue_depth),
       shed_on_full_(config.shed_on_full)
 {
-    // Eager registration: the rejection counters are kServeExport rows,
-    // so every serve export lists them, zero-valued on fault-free runs.
+    // Eager registration: the rejection counters and the tenant=""
+    // series (every unknown id counts there) are kServeExport rows, so
+    // every serve export lists them, zero-valued on fault-free runs.
     obs::kAdmissionShed.metric();
     obs::kAdmissionRejectedQuota.metric();
+    registerSeries(std::string());
     unsigned n = config.workers != 0
                      ? config.workers
                      : std::clamp(base::hardwareThreads(), 2u, 8u);
@@ -81,43 +110,48 @@ AdmissionPipeline::~AdmissionPipeline()
 }
 
 std::shared_ptr<LaunchTicket>
-AdmissionPipeline::submit(StrategyKind kind, LaunchRequest request)
+AdmissionPipeline::submit(const std::string &tenant, StrategyKind kind,
+                          LaunchRequest request)
 {
-    return submit(kind, std::move(request), std::string());
-}
-
-std::shared_ptr<LaunchTicket>
-AdmissionPipeline::submit(StrategyKind kind, LaunchRequest request,
-                          const std::string &tenant,
-                          CompletionHook on_complete)
-{
-    auto ticket = std::make_shared<LaunchTicket>();
     Job job;
     job.kind = kind;
     job.request = std::move(request);
     // The pipeline spends the host's parallelism across launches.
     job.request.host_threads = 1;
-    job.ticket = ticket;
-    job.tenant = tenant;
-    // The hook is copied into the job (which the scheduler may consume
-    // even on a rejected push) and kept here for the rejection paths —
-    // it must fire exactly once however the ticket resolves.
-    job.on_complete = on_complete;
-    job.enqueue_ns = obs::metricsEnabled() ? obs::wallNowNs() : 0;
-    auto reject = [&](Result<LaunchResult> error) {
-        if (on_complete) {
-            on_complete(error);
-        }
-        ticket->complete(std::move(error));
+    job.ticket = std::make_shared<LaunchTicket>();
+    job.submit_ns = obs::metricsEnabled() ? obs::wallNowNs() : 0;
+    std::shared_ptr<LaunchTicket> ticket = job.ticket;
+
+    bool known = false;
+    {
+        base::MutexLock lock(mu_);
+        known = sched_.hasLimits(tenant);
+    }
+    // Unknown ids all count under the empty series, which no tenant can
+    // register: caller-chosen ids never mint new series, and every
+    // series keeps submitted == completed + failed + rejected.
+    if (known) {
+        job.tenant = tenant;
+    }
+    obs::kServiceSubmitted.add(job.tenant);
+    if (!known) {
+        resolve(job,
+                errNotFound("unknown tenant \"" + tenant + "\"" +
+                            ": register it before submitting launches"),
+                LaunchOutcome::kRejected);
         return ticket;
-    };
+    }
+    Status admitted = fault::FaultInjector::instance().check(
+        fault::FaultSite::kServiceEnqueue, "service submit: " + tenant);
+    if (!admitted.isOk()) {
+        resolve(job, std::move(admitted), LaunchOutcome::kRejected);
+        return ticket;
+    }
 
     // Load shedding: an injected enqueue fault (deterministic tests) or
     // a full queue under shed_on_full resolves the ticket right here
-    // with a typed, retryable-by-the-caller backpressure error. The
-    // ticket API is unchanged — callers always get a ticket and take()
-    // its result.
-    Status admitted = fault::FaultInjector::instance().check(
+    // with a typed, retryable-by-the-caller backpressure error.
+    admitted = fault::FaultInjector::instance().check(
         fault::FaultSite::kAdmissionEnqueue, "launch admission");
     bool shed = !admitted.isOk();
     bool quota_rejected = false;
@@ -136,11 +170,9 @@ AdmissionPipeline::submit(StrategyKind kind, LaunchRequest request,
             }
             if (stopping_) {
                 // Shutdown race: the pipeline is being destroyed; no
-                // worker will ever pop a late enqueue, so fail the
+                // worker will ever pop a late enqueue, so reject the
                 // ticket with a typed error instead of wedging it.
                 shutting_down = true;
-                // NB: not job.tenant — std::move(job) may be evaluated
-                // before the first argument is read.
             } else if (sched_.push(tenant, std::move(job)) ==
                        DrrScheduler<Job>::Push::kQuotaExceeded) {
                 quota_rejected = true;
@@ -155,36 +187,67 @@ AdmissionPipeline::submit(StrategyKind kind, LaunchRequest request,
     }
     if (shed) {
         obs::kAdmissionShed.add();
-        return reject(errBackpressure(
-            "admission queue full: launch shed, retry later"));
-    }
-    if (shutting_down) {
-        return reject(errUnavailable(
-            "admission pipeline shutting down: launch not admitted"));
-    }
-    if (quota_rejected) {
+        resolve(job,
+                errBackpressure(
+                    "admission queue full: launch shed, retry later"),
+                LaunchOutcome::kRejected);
+    } else if (shutting_down) {
+        resolve(job,
+                errUnavailable(
+                    "admission pipeline shutting down: launch not admitted"),
+                LaunchOutcome::kRejected);
+    } else if (quota_rejected) {
         obs::kAdmissionRejectedQuota.add();
-        return reject(errQuotaExceeded(
-            "tenant " + tenant + " over its queued-launch quota"));
+        resolve(job,
+                errQuotaExceeded("tenant " + tenant +
+                                 " over its queued-launch quota"),
+                LaunchOutcome::kRejected);
+    } else {
+        work_.notify_one();
+        obs::kAdmissionSubmitted.add();
+        obs::kAdmissionQueueDepth.setMax(static_cast<i64>(depth));
     }
-    work_.notify_one();
-    obs::kAdmissionSubmitted.add();
-    obs::kAdmissionQueueDepth.setMax(static_cast<i64>(depth));
     return ticket;
 }
 
-std::shared_ptr<LaunchTicket>
-AdmissionPipeline::rejectedTicket(Status error)
+void
+AdmissionPipeline::resolve(Job &job, Result<LaunchResult> result,
+                           LaunchOutcome outcome)
 {
-    auto ticket = std::make_shared<LaunchTicket>();
-    ticket->complete(std::move(error));
-    return ticket;
+    // Count BEFORE resolving the ticket: a consumer that took its
+    // result must see it counted, in Stats and in the tenant's series.
+    // Rejections were counted in Stats (shed, rejected_quota) by the
+    // critical section that decided them.
+    if (outcome != LaunchOutcome::kRejected) {
+        base::MutexLock lock(mu_);
+        stats_.completed++;
+        if (outcome == LaunchOutcome::kFailed) {
+            stats_.failed++;
+        }
+    }
+    switch (outcome) {
+    case LaunchOutcome::kRejected:
+        obs::kServiceRejected.add(job.tenant);
+        break;
+    case LaunchOutcome::kCompleted:
+        obs::kServiceCompleted.add(job.tenant);
+        break;
+    case LaunchOutcome::kFailed:
+        obs::kServiceFailed.add(job.tenant);
+        break;
+    }
+    if (job.submit_ns != 0) {
+        obs::kServiceLatencyNs.observe(job.tenant,
+                                       obs::wallNowNs() - job.submit_ns);
+    }
+    job.ticket->complete(std::move(result), outcome);
 }
 
 void
 AdmissionPipeline::setTenantLimits(const std::string &tenant,
                                    ScheduleLimits limits)
 {
+    registerSeries(tenant);
     {
         base::MutexLock lock(mu_);
         sched_.setLimits(tenant, limits);
@@ -233,9 +296,9 @@ AdmissionPipeline::workerLoop()
             active_++;
         }
         space_.notify_one();
-        if (job.enqueue_ns != 0) {
+        if (job.submit_ns != 0) {
             obs::kAdmissionQueueWaitNs.observe(obs::wallNowNs() -
-                                               job.enqueue_ns);
+                                               job.submit_ns);
         }
 
         // One strategy instance per launch: the template-capture state
@@ -244,23 +307,11 @@ AdmissionPipeline::workerLoop()
         Result<LaunchResult> result =
             strategy->launch(platform_, job.request);
 
-        bool ok = result.isOk();
-        // Count completion BEFORE resolving the ticket (a consumer that
-        // saw its result must see it counted), and stay active until
-        // AFTER (drain() must not return with a ticket still pending).
-        {
-            base::MutexLock lock(mu_);
-            stats_.completed++;
-            if (!ok) {
-                stats_.failed++;
-            }
-        }
-        // Hook before resolving the ticket: once complete() runs, a
-        // consumer's take() may already have moved the result out.
-        if (job.on_complete) {
-            job.on_complete(result);
-        }
-        job.ticket->complete(std::move(result));
+        // Stay active until AFTER resolving: drain() must not return
+        // with a ticket still pending.
+        LaunchOutcome outcome = result.isOk() ? LaunchOutcome::kCompleted
+                                              : LaunchOutcome::kFailed;
+        resolve(job, std::move(result), outcome);
         {
             base::MutexLock lock(mu_);
             sched_.noteCompleted(job.tenant);

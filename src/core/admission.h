@@ -9,9 +9,11 @@
  * weighted deficit round robin over per-tenant sub-queues
  * (core/drr_scheduler.h) rather than global FIFO, so one flooding
  * tenant gets its weighted share of workers instead of the whole pool;
- * per-tenant queue quotas reject with a typed kQuotaExceeded. The
- * legacy tenant-less submit() maps to a default tenant with no quota,
- * preserving plain-FIFO behavior for single-tenant callers.
+ * per-tenant queue quotas reject with a typed kQuotaExceeded. Every
+ * launch names a tenant whose limits were installed first; submit() is
+ * the only way in, and one path resolves every ticket and records how
+ * it ended (LaunchOutcome) for Stats, the per-tenant sevf_service_*
+ * families and the caller alike.
  *
  * Stage overlap falls out of the concurrency model: while one launch
  * serializes through the PSP command gate (psp::TicketGate), other
@@ -30,7 +32,6 @@
 #define SEVF_CORE_ADMISSION_H_
 
 #include <condition_variable>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -44,8 +45,15 @@
 
 namespace sevf::core {
 
+/** How a ticket ended, recorded once by the path that resolves it. */
+enum class LaunchOutcome : u8 {
+    kRejected,  //!< refused before dispatch with a typed error
+    kCompleted, //!< dispatched and booted
+    kFailed,    //!< dispatched, then the launch failed
+};
+
 /**
- * Completion handle for one admitted launch. Single-consumer: take()
+ * Completion handle for one submitted launch. Single-consumer: take()
  * moves the result out; a second take() returns kInvalidState.
  */
 class LaunchTicket
@@ -57,14 +65,19 @@ class LaunchTicket
     /** True once the result is available (take() will not block). */
     bool ready() const;
 
+    /** Block until the ticket resolves, then say how it ended: the
+     *  record the pipeline's per-tenant counters were bumped from. */
+    LaunchOutcome outcome() const;
+
   private:
     friend class AdmissionPipeline;
 
-    void complete(Result<LaunchResult> result);
+    void complete(Result<LaunchResult> result, LaunchOutcome outcome);
 
     mutable base::Mutex mu_;
-    std::condition_variable done_;
+    mutable std::condition_variable done_;
     std::optional<Result<LaunchResult>> result_ SEVF_GUARDED_BY(mu_);
+    LaunchOutcome outcome_ SEVF_GUARDED_BY(mu_) = LaunchOutcome::kRejected;
 };
 
 struct AdmissionConfig {
@@ -106,47 +119,29 @@ class AdmissionPipeline
     AdmissionPipeline(const AdmissionPipeline &) = delete;
     AdmissionPipeline &operator=(const AdmissionPipeline &) = delete;
 
-    /** Completion hook a tenant-aware submit may attach: fires exactly
-     *  once, just before the ticket resolves — on the worker thread for
-     *  dispatched launches, on the submitter for shed/quota/shutdown
-     *  rejections (the launch service uses it for per-tenant metrics). */
-    using CompletionHook =
-        std::function<void(const Result<LaunchResult> &)>;
-
     /**
-     * Admit one launch; blocks while the queue is full (or, with
-     * shed_on_full, resolves the ticket immediately with a typed
-     * kBackpressure error — the injected kAdmissionEnqueue fault takes
-     * the same path regardless of config). The returned ticket
-     * resolves when a worker finishes the boot. @p request's
+     * Admit one launch for @p tenant; the job lands in the tenant's
+     * sub-queue and competes under its ScheduleLimits. The ticket
+     * always resolves: with the boot result once a worker ran it, or
+     * at once with a typed rejection, decided in this order:
+     *  - kNotFound: no setTenantLimits() for @p tenant (no fault check
+     *    is consulted, and the metrics count it under tenant="");
+     *  - kUnavailable: an injected service-enqueue fault;
+     *  - kBackpressure: an injected admission fault, or a full queue
+     *    under shed_on_full;
+     *  - kUnavailable: the pipeline was destroyed while this submit
+     *    blocked on a full queue;
+     *  - kQuotaExceeded: the tenant's max_queued launches already wait.
+     * Blocks only while the global queue is full. @p request's
      * host_threads is overridden to 1 (see file comment).
-     *
-     * If the pipeline is destroyed while a submit is blocked on a full
-     * queue, the ticket resolves with a typed kUnavailable error
-     * instead of deadlocking (the ISSUE 10 shutdown race).
      */
-    std::shared_ptr<LaunchTicket> submit(StrategyKind kind,
+    std::shared_ptr<LaunchTicket> submit(const std::string &tenant,
+                                         StrategyKind kind,
                                          LaunchRequest request);
 
-    /**
-     * Tenant-aware submit: the job lands in @p tenant's sub-queue and
-     * competes under its ScheduleLimits. A tenant over its max_queued
-     * quota gets a ticket resolved immediately with kQuotaExceeded.
-     * The empty tenant id is the default (quota-less) tenant the
-     * plain submit() uses.
-     */
-    std::shared_ptr<LaunchTicket> submit(StrategyKind kind,
-                                         LaunchRequest request,
-                                         const std::string &tenant,
-                                         CompletionHook on_complete = {});
-
-    /** Install/replace @p tenant's scheduling limits. */
+    /** Install/replace @p tenant's scheduling limits and register its
+     *  sevf_service_* series (exports list them zero-valued). */
     void setTenantLimits(const std::string &tenant, ScheduleLimits limits);
-
-    /** A ticket pre-resolved with @p error — for callers layered above
-     *  the pipeline (the launch service) that reject a launch before it
-     *  reaches submit() but still owe the caller a uniform ticket. */
-    static std::shared_ptr<LaunchTicket> rejectedTicket(Status error);
 
     /** Block until the queue is empty and every worker is idle. */
     void drain();
@@ -162,10 +157,19 @@ class AdmissionPipeline
         StrategyKind kind = StrategyKind::kStockFirecracker;
         LaunchRequest request;
         std::shared_ptr<LaunchTicket> ticket;
+        /** The metric series: the tenant id, "" for an unknown one. */
         std::string tenant;
-        CompletionHook on_complete;
-        u64 enqueue_ns = 0;
+        /** Submit wall time; 0 when metrics were off at submit. */
+        u64 submit_ns = 0;
     };
+
+    /**
+     * The one place a ticket resolves. Records @p outcome in Stats
+     * (completed/failed) and in the tenant's sevf_service_* families,
+     * then hands @p result to the ticket, outside mu_.
+     */
+    void resolve(Job &job, Result<LaunchResult> result,
+                 LaunchOutcome outcome) SEVF_EXCLUDES(mu_);
 
     void workerLoop();
 

@@ -9,8 +9,12 @@
  * its queue gets exactly its weighted share of worker slots while a
  * light tenant's sparse jobs dispatch within one round. A tenant going
  * idle -> active enters the ring at its head, so against a standing
- * backlog its first job waits only for the in-service launch — the
- * latency bound bench_service_fairness gates on.
+ * backlog its first job waits only for the in-service launch. A tenant
+ * whose queue a pop empties moves to the ring TAIL and leaves the ring
+ * only when a later walk still finds it empty (RFC 8290's rule for new
+ * flows): a closed-loop tenant that resubmits at once waits its turn
+ * like a backlogged one, and only a tenant idle for a whole round
+ * re-enters at the head.
  *
  * Two per-tenant admission limits ride along:
  *  - max_queued: push() refuses past it (kQuotaExceeded at the caller),
@@ -18,9 +22,8 @@
  *
  * Deliberately NOT thread-safe: the structure is header-only plain
  * data, owned and locked by AdmissionPipeline (guarded by
- * AdmissionPipeline::mu_). The service layer above
- * (service/launch_service.h) maps TenantRegistry quotas into
- * ScheduleLimits.
+ * AdmissionPipeline::mu_), which admits only tenants named by
+ * setLimits() (service::TenantQuota extends ScheduleLimits).
  */
 #ifndef SEVF_CORE_DRR_SCHEDULER_H_
 #define SEVF_CORE_DRR_SCHEDULER_H_
@@ -36,7 +39,7 @@
 
 namespace sevf::core {
 
-/** Per-tenant scheduling parameters (a subset of TenantQuota). */
+/** Per-tenant scheduling parameters (service::TenantQuota extends it). */
 struct ScheduleLimits {
     /** Pops per round-robin round; relative share under contention. */
     u32 weight = 1;
@@ -64,27 +67,38 @@ class DrrScheduler
         tenantFor(tenant).limits = limits;
     }
 
+    /** Queue @p job for @p tenant; a refused job is left untouched. */
+    template <typename J>
     Push
-    push(const std::string &tenant, Job job)
+    push(const std::string &tenant, J &&job)
     {
         Tenant &t = tenantFor(tenant);
         if (t.limits.max_queued != 0 &&
             t.queue.size() >= t.limits.max_queued) {
             return Push::kQuotaExceeded;
         }
-        t.queue.push_back(std::move(job));
+        t.queue.push_back(std::forward<J>(job));
         size_++;
         if (!t.in_ring) {
             // Idle -> active: enter at the ring HEAD. A tenant that was
             // idle has consumed none of its share this round, so its
             // first job dispatches after at most the in-service launch
             // instead of behind every backlogged tenant's quantum. No
-            // starvation: the jump happens only on this edge, and the
-            // tenant rotates normally once its quantum is spent.
+            // starvation: only a tenant that sat out a whole round is
+            // off the ring (see pop()), and it rotates normally once
+            // its quantum is spent.
             ring_.push_front(tenant);
             t.in_ring = true;
         }
         return Push::kOk;
+    }
+
+    /** True once setLimits() named @p tenant. Named hasLimits(), not
+     *  contains(), for the reason idle() is not empty(). */
+    bool
+    hasLimits(const std::string &tenant) const
+    {
+        return tenants_.find(tenant) != tenants_.end();
     }
 
     /**
@@ -105,6 +119,8 @@ class DrrScheduler
             ring_.pop_front();
             Tenant &t = tenants_.find(name)->second;
             if (t.queue.empty()) {
+                // Still empty a whole round after its last pop: off
+                // the ring, so its next push is an idle -> active edge.
                 t.in_ring = false;
                 t.credits = 0;
                 continue;
@@ -125,9 +141,12 @@ class DrrScheduler
             t.credits--;
             t.in_flight++;
             if (t.queue.empty()) {
-                t.in_ring = false;
+                // Emptied: to the tail, still on the ring. A refill
+                // before the walk comes round is no idle -> active
+                // edge, so it cannot take the head again.
                 t.credits = 0;
-            } else if (t.credits == 0) {
+            }
+            if (t.credits == 0) {
                 ring_.push_back(std::move(name));
             } else {
                 // Credits remain: the tenant keeps the head until its

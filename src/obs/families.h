@@ -97,7 +97,8 @@ namespace sevf::obs {
       kNoContract, "Launches waiting in the admission queue (peak)")          \
     X(kAdmissionQueueWaitNs, Histogram, "sevf_admission_queue_wait_ns", "",   \
       kNoContract, "Wall nanoseconds a launch waited for a worker")           \
-    /* Launch service (service/launch_service.cc), per tenant. */             \
+    /* Launch service, per tenant (core/admission.cc: submit, resolve;        \
+       the latency histogram observes every ticket). */                       \
     X(kServiceSubmitted, Counter, "sevf_service_submitted_total", "tenant",   \
       kServeExport,                                                           \
       "Launches submitted through the launch service, per tenant")            \

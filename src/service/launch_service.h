@@ -11,15 +11,11 @@
  *  - the platform's TemplateCache, whose byte budget is the sum of
  *    registered cache shares (docs/SERVICE.md).
  *
- * Per-tenant observability rides on the pipeline's completion hook:
- * sevf_service_submitted/completed/failed/rejected_total{tenant=...}
- * counters plus a sevf_service_latency_ns{tenant=...} histogram of
- * submit-to-resolution wall time. Submits for unregistered ids all
- * count under tenant="" (an id no tenant can register). The
- * "service.enqueue" span marks each submit on the wall track. All
- * families are registered eagerly, for tenant="" at construction and
- * for each tenant when it registers, so exports list them zero-valued
- * (kServeExport rows: sevf_obscheck --service requires them).
+ * submit() is the pipeline's submit under a "service.enqueue" span:
+ * the pipeline rejects unknown tenants, consults the fault sites,
+ * resolves every ticket, and records its outcome in the per-tenant
+ * sevf_service_* families (core/admission.h). Submits for unregistered
+ * ids all count under tenant="" (an id no tenant can register).
  *
  * The whole service layer stays OUTSIDE the measured TCB: it decides
  * when launches run and who pays for cache bytes, never what gets
@@ -39,20 +35,14 @@
 
 namespace sevf::service {
 
-struct ServiceConfig {
-    /** Admission worker threads; 0 = the pipeline's default clamp. */
-    unsigned workers = 0;
-    /** Global admission queue slots (back-pressure bound). */
-    std::size_t queue_depth = 32;
-    /** Shed instead of blocking when the global queue is full. */
-    bool shed_on_full = false;
-};
+/** Workers, global queue slots and shed-on-full: the pipeline's own. */
+using ServiceConfig = core::AdmissionConfig;
 
 class LaunchService
 {
   public:
     /** The registry may be pre-populated; its quotas are applied to the
-     *  scheduler and the cache budgets immediately. */
+     *  scheduler and the cache budget immediately. */
     LaunchService(core::Platform &platform, TenantRegistry &registry,
                   ServiceConfig config = {});
 
@@ -60,20 +50,14 @@ class LaunchService
     LaunchService &operator=(const LaunchService &) = delete;
 
     /**
-     * Register @p id (or update its quota) and re-derive the scheduler
-     * limits and cache budgets. Forwards TenantRegistry's validation
-     * errors (empty id, zero weight).
+     * Register @p id (or update its quota): set its scheduler limits
+     * and size the cache to the registry's total share. Forwards
+     * TenantRegistry's validation errors (empty id, zero weight).
      */
     Status registerTenant(const std::string &id, TenantQuota quota);
 
-    /**
-     * Submit one launch on behalf of @p tenant. The ticket always
-     * resolves: with the boot result, or with a typed error —
-     * kNotFound (unknown tenant), kQuotaExceeded (over max_queued),
-     * kBackpressure (global shed), kUnavailable (injected
-     * service-enqueue fault, or shutdown). Blocks only while the
-     * GLOBAL queue is full (per-tenant quota rejects immediately).
-     */
+    /** Submit one launch on behalf of @p tenant; the ticket always
+     *  resolves, as core::AdmissionPipeline::submit documents. */
     std::shared_ptr<core::LaunchTicket>
     submit(const std::string &tenant, core::StrategyKind kind,
            core::LaunchRequest request);
@@ -82,12 +66,8 @@ class LaunchService
     void drain() { pipeline_.drain(); }
 
     core::AdmissionPipeline &pipeline() { return pipeline_; }
-    TenantRegistry &registry() { return registry_; }
 
   private:
-    /** Push registry quotas into the scheduler and the cache budgets. */
-    void applyQuotas();
-
     core::Platform &platform_;
     TenantRegistry &registry_;
     core::AdmissionPipeline pipeline_;

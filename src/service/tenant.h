@@ -30,35 +30,21 @@
 
 namespace sevf::service {
 
-/** Admission + cache entitlements for one tenant. */
-struct TenantQuota {
-    /** Relative share of worker slots under contention (DRR weight). */
-    u32 weight = 1;
-    /** Max launches dispatched but unfinished; 0 = unlimited. */
-    u32 max_in_flight = 0;
-    /** Max launches queued (beyond it: kQuotaExceeded); 0 = unlimited. */
-    std::size_t max_queued = 0;
+/**
+ * Admission + cache entitlements for one tenant: the scheduler's
+ * limits (weight, max_in_flight, max_queued; see core::ScheduleLimits)
+ * plus a cache share. A zero weight is invalid here.
+ */
+struct TenantQuota : core::ScheduleLimits {
     /** Contribution to the template-cache byte budget. */
     u64 cache_share_bytes = 0;
-
-    /** The subset the admission scheduler consumes. */
-    core::ScheduleLimits
-    scheduleLimits() const
-    {
-        core::ScheduleLimits limits;
-        limits.weight = weight;
-        limits.max_in_flight = max_in_flight;
-        limits.max_queued = max_queued;
-        return limits;
-    }
 };
 
 class TenantRegistry
 {
   public:
     /** Register (or re-register, updating the quota) @p id. The empty
-     *  id is reserved: it is the quota-less legacy submit path's
-     *  tenant, and the launch service's unknown-tenant metric label. */
+     *  id is reserved: it labels the metrics of unknown-tenant submits. */
     Status
     registerTenant(const std::string &id, TenantQuota quota)
     {

@@ -76,8 +76,12 @@ struct TenantReport {
     std::string tenant;
     u64 submitted = 0;
     u64 completed = 0;
-    u64 rejected = 0; //!< typed quota/backpressure/unavailable rejects
-    u64 failed = 0;   //!< dispatched but failed (should be 0 fault-free)
+    /** Refused before dispatch with a typed error (unknown tenant,
+     *  service fault, shed, quota, shutdown); the launch never ran. */
+    u64 rejected = 0;
+    /** Dispatched, then the launch failed (e.g. PSP retries exhausted);
+     *  0 on a fault-free run. */
+    u64 failed = 0;
     u64 warm_hits = 0;
     u64 p50_ns = 0;
     u64 p95_ns = 0;
@@ -111,8 +115,10 @@ struct ReplayReport {
 /**
  * Register the trace's tenants on @p service, replay the arrival
  * process (offsets scaled by @p time_scale), wait for every ticket,
- * and aggregate. Tickets that resolve with typed rejection errors
- * count as rejected, not failures; any other error fails the replay.
+ * and aggregate. Each ticket counts by the outcome the pipeline
+ * recorded on it (core::LaunchOutcome), the same record its
+ * sevf_service_* counters come from, so a report always equals the
+ * metrics export. A failed launch is reported, not an error.
  */
 Result<ReplayReport> replayTrace(LaunchService &service,
                                  const WorkloadTrace &trace,

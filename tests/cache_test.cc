@@ -7,7 +7,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -763,13 +762,14 @@ TEST(AdmissionTest, BurstDedupsIntoOneColdBoot)
     core::AdmissionConfig config;
     config.workers = 2;
     core::AdmissionPipeline pipeline(platform, config);
+    pipeline.setTenantLimits("t", {});
     core::LaunchRequest req = smallRequest();
 
     constexpr int kBurst = 6;
     std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
     for (int i = 0; i < kBurst; ++i) {
         tickets.push_back(
-            pipeline.submit(core::StrategyKind::kSeveriFastBz, req));
+            pipeline.submit("t", core::StrategyKind::kSeveriFastBz, req));
     }
 
     int warm = 0;
@@ -796,8 +796,9 @@ TEST(AdmissionTest, TicketIsSingleConsumer)
 {
     core::Platform platform(sim::CostParams::deterministic());
     core::AdmissionPipeline pipeline(platform);
-    auto ticket = pipeline.submit(core::StrategyKind::kStockFirecracker,
-                                  smallRequest());
+    pipeline.setTenantLimits("t", {});
+    auto ticket = pipeline.submit(
+        "t", core::StrategyKind::kStockFirecracker, smallRequest());
     ASSERT_TRUE(ticket->take().isOk());
     Result<core::LaunchResult> again = ticket->take();
     EXPECT_FALSE(again.isOk());
@@ -810,9 +811,10 @@ TEST(AdmissionTest, DestructionDrainsOutstandingTickets)
     std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
     {
         core::AdmissionPipeline pipeline(platform);
+        pipeline.setTenantLimits("t", {});
         for (int i = 0; i < 4; ++i) {
             tickets.push_back(pipeline.submit(
-                core::StrategyKind::kSeveriFastBz, smallRequest()));
+                "t", core::StrategyKind::kSeveriFastBz, smallRequest()));
         }
         // Destructor must complete every admitted launch.
     }
@@ -837,17 +839,18 @@ TEST(AdmissionTest, ShutdownResolvesBlockedSubmitWithTypedError)
         config.workers = 1;
         config.queue_depth = 1;
         core::AdmissionPipeline pipeline(platform, config);
+        pipeline.setTenantLimits("t", {});
         // Fill the worker and the single queue slot.
         tickets.push_back(pipeline.submit(
-            core::StrategyKind::kSeveriFastBz, smallRequest()));
+            "t", core::StrategyKind::kSeveriFastBz, smallRequest()));
         tickets.push_back(pipeline.submit(
-            core::StrategyKind::kSeveriFastBz, smallRequest()));
+            "t", core::StrategyKind::kSeveriFastBz, smallRequest()));
         // The third submit likely parks in space_.wait (or, if the
         // worker drained fast enough, is admitted normally — both
         // resolutions below are valid).
         submitter = std::thread([&pipeline, &blocked] {
-            blocked = pipeline.submit(core::StrategyKind::kSeveriFastBz,
-                                      smallRequest());
+            blocked = pipeline.submit(
+                "t", core::StrategyKind::kSeveriFastBz, smallRequest());
         });
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         // Destruction must wake the blocked submitter; if it doesn't,
@@ -882,7 +885,7 @@ TEST(AdmissionTest, TenantQuotaRejectsWithTypedError)
     std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
     for (int i = 0; i < kBurst; ++i) {
         tickets.push_back(pipeline.submit(
-            core::StrategyKind::kSeveriFastBz, smallRequest(), "capped"));
+            "capped", core::StrategyKind::kSeveriFastBz, smallRequest()));
     }
     int rejected = 0;
     for (auto &ticket : tickets) {
@@ -899,24 +902,6 @@ TEST(AdmissionTest, TenantQuotaRejectsWithTypedError)
     EXPECT_EQ(stats.rejected_quota, static_cast<u64>(rejected));
     EXPECT_EQ(stats.submitted + stats.rejected_quota,
               static_cast<u64>(kBurst));
-}
-
-TEST(AdmissionTest, CompletionHookSeesResultOnWorkerThread)
-{
-    core::Platform platform(sim::CostParams::deterministic());
-    core::AdmissionPipeline pipeline(platform);
-    std::atomic<int> hook_runs{0};
-    std::atomic<bool> hook_ok{false};
-    auto ticket = pipeline.submit(
-        core::StrategyKind::kSeveriFastBz, smallRequest(), "t0",
-        [&](const Result<core::LaunchResult> &r) {
-            hook_ok = r.isOk();
-            hook_runs++;
-        });
-    ASSERT_TRUE(ticket->take().isOk());
-    pipeline.drain();
-    EXPECT_EQ(hook_runs.load(), 1);
-    EXPECT_TRUE(hook_ok.load());
 }
 
 // ===================================================================
@@ -1026,6 +1011,49 @@ TEST(DrrSchedulerTest, IdleTenantEntersAtRingHead)
     std::optional<int> after = sched.pop();
     ASSERT_TRUE(after.has_value());
     EXPECT_LT(*after, 1000);
+}
+
+TEST(DrrSchedulerTest, RefilledTenantWaitsItsTurn)
+{
+    // A closed-loop tenant refills its queue right after each pop, so
+    // every pop empties it. The emptied tenant moves to the ring tail:
+    // a refill before the next pop is no idle -> active edge, and the
+    // backlogged tenant gets its full quantum of W pops between any two
+    // light pops (re-entering at the head would give it none).
+    for (u32 weight : {1u, 8u}) {
+        SCOPED_TRACE("heavy weight " + std::to_string(weight));
+        core::DrrScheduler<int> sched;
+        core::ScheduleLimits heavy;
+        heavy.weight = weight;
+        sched.setLimits("heavy", heavy);
+        for (int i = 0; i < 100; ++i) {
+            ASSERT_EQ(sched.push("heavy", i),
+                      core::DrrScheduler<int>::Push::kOk);
+        }
+        ASSERT_EQ(sched.push("light", 1000),
+                  core::DrrScheduler<int>::Push::kOk);
+        std::vector<u32> heavy_runs;
+        u32 run = 0;
+        while (heavy_runs.size() < 6) {
+            std::optional<int> job = sched.pop();
+            ASSERT_TRUE(job.has_value());
+            if (*job < 1000) {
+                sched.noteCompleted("heavy");
+                run++;
+                continue;
+            }
+            sched.noteCompleted("light");
+            heavy_runs.push_back(run);
+            run = 0;
+            ASSERT_EQ(sched.push("light", 1000),
+                      core::DrrScheduler<int>::Push::kOk);
+        }
+        // The first light job entered idle -> active at the head.
+        EXPECT_EQ(heavy_runs[0], 0u);
+        for (std::size_t i = 1; i < heavy_runs.size(); ++i) {
+            EXPECT_EQ(heavy_runs[i], weight) << "light pop " << i;
+        }
+    }
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,8 @@
 #include "core/admission.h"
 #include "core/launch.h"
 #include "fault/fault.h"
+#include "obs/families.h"
+#include "obs/span.h"
 #include "service/launch_service.h"
 
 namespace sevf {
@@ -116,7 +119,8 @@ TEST(ChaosTest, EveryStrategySurvivesOrFailsTyped)
             core::AdmissionConfig config;
             config.workers = 2;
             core::AdmissionPipeline pipeline(platform, config);
-            auto ticket = pipeline.submit(kind, chaosRequest());
+            pipeline.setTenantLimits("t", {});
+            auto ticket = pipeline.submit("t", kind, chaosRequest());
             Result<core::LaunchResult> result = ticket->take();
 
             for (FaultSite site :
@@ -157,9 +161,12 @@ TEST(ChaosTest, EveryStrategySurvivesOrFailsTyped)
 // contract, exercised through the multi-tenant launch service with the
 // service-enqueue fault site armed on top of the pipeline sites and a
 // tight per-tenant quota in play. Every ticket must resolve with the
-// baseline measurement or a typed error — quota rejections included.
+// baseline measurement or a typed error — quota rejections included —
+// and the outcomes recorded on the tickets must equal the tenant's
+// sevf_service_* counters.
 TEST(ChaosTest, ServiceSubmitSurvivesOrFailsTyped)
 {
+    obs::ScopedEnable obs_on(/*metrics=*/true, /*tracing=*/false);
     crypto::Sha256Digest baseline{};
     {
         core::Platform platform(sim::CostParams::deterministic());
@@ -179,6 +186,7 @@ TEST(ChaosTest, ServiceSubmitSurvivesOrFailsTyped)
             chaosPlanSpec(seed) + ";service-enqueue:p=0.2");
         ASSERT_TRUE(plan.isOk()) << plan.status().toString();
         ScopedFaultPlan armed(plan.take());
+        obs::Registry::instance().reset();
 
         core::Platform platform(sim::CostParams::deterministic());
         service::TenantRegistry registry;
@@ -195,8 +203,13 @@ TEST(ChaosTest, ServiceSubmitSurvivesOrFailsTyped)
                 svc.submit("chaos", core::StrategyKind::kSeveriFastBz,
                            chaosRequest()));
         }
+        std::map<core::LaunchOutcome, u64> recorded;
         for (auto &ticket : tickets) {
             Result<core::LaunchResult> result = ticket->take();
+            core::LaunchOutcome outcome = ticket->outcome();
+            recorded[outcome]++;
+            EXPECT_EQ(result.isOk(),
+                      outcome == core::LaunchOutcome::kCompleted);
             if (result.isOk()) {
                 ++survived;
                 EXPECT_EQ(result->measurement, baseline)
@@ -208,6 +221,16 @@ TEST(ChaosTest, ServiceSubmitSurvivesOrFailsTyped)
                     << result.status().toString();
             }
         }
+        auto count = [](const obs::CounterFamily &family) {
+            return family.metric("chaos").value();
+        };
+        EXPECT_EQ(count(obs::kServiceSubmitted), tickets.size());
+        EXPECT_EQ(count(obs::kServiceRejected),
+                  recorded[core::LaunchOutcome::kRejected]);
+        EXPECT_EQ(count(obs::kServiceCompleted),
+                  recorded[core::LaunchOutcome::kCompleted]);
+        EXPECT_EQ(count(obs::kServiceFailed),
+                  recorded[core::LaunchOutcome::kFailed]);
         service_faults += FaultInjector::instance()
                               .siteStats(FaultSite::kServiceEnqueue)
                               .injected;

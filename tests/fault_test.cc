@@ -476,6 +476,7 @@ TEST(AdmissionShedTest, InjectedEnqueueFaultShedsWithBackpressure)
 {
     core::Platform platform(sim::CostParams::deterministic());
     core::AdmissionPipeline pipeline(platform);
+    pipeline.setTenantLimits("t", {});
 
     Result<FaultPlan> plan = FaultPlan::parse("admission:nth=1");
     ASSERT_TRUE(plan.isOk());
@@ -483,9 +484,9 @@ TEST(AdmissionShedTest, InjectedEnqueueFaultShedsWithBackpressure)
     std::shared_ptr<core::LaunchTicket> admitted;
     {
         ScopedFaultPlan armed(plan.take());
-        shed = pipeline.submit(core::StrategyKind::kSeveriFastBz,
+        shed = pipeline.submit("t", core::StrategyKind::kSeveriFastBz,
                                tinyRequest());
-        admitted = pipeline.submit(core::StrategyKind::kSeveriFastBz,
+        admitted = pipeline.submit("t", core::StrategyKind::kSeveriFastBz,
                                    tinyRequest());
     }
 
@@ -512,13 +513,14 @@ TEST(AdmissionShedTest, ShedOnFullRejectsWhenQueueIsSaturated)
     config.queue_depth = 1;
     config.shed_on_full = true;
     core::AdmissionPipeline pipeline(platform, config);
+    pipeline.setTenantLimits("t", {});
 
     // Saturate: one job running, one queued, then a burst. With
     // shed_on_full nothing blocks; some of the burst must shed.
     std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
     for (int i = 0; i < 8; ++i) {
         tickets.push_back(pipeline.submit(
-            core::StrategyKind::kStockFirecracker, tinyRequest()));
+            "t", core::StrategyKind::kStockFirecracker, tinyRequest()));
     }
     pipeline.drain();
 
@@ -547,6 +549,7 @@ TEST(AdmissionShedTest, DrainDuringFaultCompletesEveryTicket)
     // every ticket (shed or admitted) resolved.
     core::Platform platform(sim::CostParams::deterministic());
     core::AdmissionPipeline pipeline(platform);
+    pipeline.setTenantLimits("t", {});
     Result<FaultPlan> plan = FaultPlan::parse("seed=3;admission:p=0.5");
     ASSERT_TRUE(plan.isOk());
     std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
@@ -554,7 +557,7 @@ TEST(AdmissionShedTest, DrainDuringFaultCompletesEveryTicket)
         ScopedFaultPlan armed(plan.take());
         for (int i = 0; i < 8; ++i) {
             tickets.push_back(pipeline.submit(
-                core::StrategyKind::kSeveriFastBz, tinyRequest()));
+                "t", core::StrategyKind::kSeveriFastBz, tinyRequest()));
         }
         pipeline.drain();
     }
@@ -573,8 +576,9 @@ TEST(AdmissionShedTest, DoubleDrainIsIdempotent)
 {
     core::Platform platform(sim::CostParams::deterministic());
     core::AdmissionPipeline pipeline(platform);
-    auto ticket = pipeline.submit(core::StrategyKind::kStockFirecracker,
-                                  tinyRequest());
+    pipeline.setTenantLimits("t", {});
+    auto ticket = pipeline.submit(
+        "t", core::StrategyKind::kStockFirecracker, tinyRequest());
     pipeline.drain();
     pipeline.drain(); // second drain on an idle pipeline returns at once
     EXPECT_TRUE(ticket->ready());

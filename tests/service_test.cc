@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/json.h"
@@ -293,6 +295,93 @@ TEST(LaunchServiceTest, PerTenantCountersAddUp)
     EXPECT_EQ(count(obs::kServiceRejected, ""), 2u);
 }
 
+TEST(LaunchServiceTest, ShutdownRejectsBlockedSubmit)
+{
+    // One worker and a one-slot queue: a third submit blocks until the
+    // first launch finishes. Destroying the service wakes it; the ticket
+    // resolves kUnavailable and counts as rejected (it never ran), not
+    // as failed. If the worker freed the slot first, the submit was
+    // admitted normally; either way the counters equal the outcomes.
+    obs::ScopedEnable obs_on(/*metrics=*/true, /*tracing=*/false);
+    obs::Registry::instance().reset();
+    core::Platform platform(sim::CostParams::deterministic());
+    service::TenantRegistry registry;
+    std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
+    std::shared_ptr<core::LaunchTicket> blocked;
+    std::thread submitter;
+    {
+        service::ServiceConfig config;
+        config.workers = 1;
+        config.queue_depth = 1;
+        service::LaunchService svc(platform, registry, config);
+        ASSERT_TRUE(svc.registerTenant("t", {}).isOk());
+        for (int i = 0; i < 2; ++i) {
+            tickets.push_back(svc.submit(
+                "t", core::StrategyKind::kSeveriFastBz, smallRequest()));
+        }
+        submitter = std::thread([&svc, &blocked] {
+            blocked = svc.submit("t", core::StrategyKind::kSeveriFastBz,
+                                 smallRequest());
+        });
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    submitter.join();
+    for (auto &ticket : tickets) {
+        EXPECT_TRUE(ticket->take().isOk());
+    }
+    ASSERT_NE(blocked, nullptr);
+    Result<core::LaunchResult> r = blocked->take();
+    u64 rejected = 0;
+    if (!r.isOk()) {
+        EXPECT_EQ(r.status().code(), ErrorCode::kUnavailable)
+            << r.status().toString();
+        EXPECT_EQ(blocked->outcome(), core::LaunchOutcome::kRejected);
+        rejected = 1;
+    } else {
+        EXPECT_EQ(blocked->outcome(), core::LaunchOutcome::kCompleted);
+    }
+    EXPECT_EQ(obs::kServiceRejected.metric("t").value(), rejected);
+    EXPECT_EQ(obs::kServiceFailed.metric("t").value(), 0u);
+    EXPECT_EQ(obs::kServiceCompleted.metric("t").value(), 3 - rejected);
+}
+
+TEST(LaunchServiceTest, ClosedLoopTenantCannotStarveABacklog)
+{
+    // One worker, a standing heavy backlog at equal weight, and a light
+    // tenant that resubmits the moment each launch resolves. An emptied
+    // tenant goes to the DRR ring's tail, so the two alternate: N light
+    // launches let at least N heavy ones through, whichever thread wins
+    // the race to the next dispatch (any core count).
+    constexpr int kLight = 6;
+    core::Platform platform(sim::CostParams::deterministic());
+    service::TenantRegistry registry;
+    service::ServiceConfig config;
+    config.workers = 1;
+    config.queue_depth = 4 * kLight;
+    service::LaunchService svc(platform, registry, config);
+    ASSERT_TRUE(svc.registerTenant("heavy", {}).isOk());
+    ASSERT_TRUE(svc.registerTenant("light", {}).isOk());
+
+    std::vector<std::shared_ptr<core::LaunchTicket>> heavy;
+    for (int i = 0; i < 2 * kLight; ++i) {
+        heavy.push_back(svc.submit("heavy", core::StrategyKind::kSeveriFastBz,
+                                   smallRequest()));
+    }
+    // The first heavy launch builds the template; light runs warm.
+    ASSERT_TRUE(heavy[0]->take().isOk());
+    for (int i = 0; i < kLight; ++i) {
+        ASSERT_TRUE(svc.submit("light", core::StrategyKind::kSeveriFastBz,
+                               smallRequest())
+                        ->take()
+                        .isOk());
+    }
+    int heavy_done = static_cast<int>(
+        std::count_if(heavy.begin(), heavy.end(),
+                      [](const auto &ticket) { return ticket->ready(); }));
+    EXPECT_GE(heavy_done, kLight)
+        << "a closed-loop light tenant must not win every dispatch";
+}
+
 // ===================================================================
 // Workload-trace parse
 // ===================================================================
@@ -421,6 +510,69 @@ TEST(TraceReplayTest, ReplayReportsPerTenantOutcomes)
         base::parseJson(service::reportToJson(*report));
     ASSERT_TRUE(parsed.isOk()) << parsed.status().toString();
     EXPECT_EQ(parsed->find("tenants")->asArray().size(), 2u);
+}
+
+TEST(TraceReplayTest, ReportEqualsMetricsUnderPspFaults)
+{
+    // The report and the sevf_service_* counters read one record per
+    // ticket. Injected PSP faults can only fail a launch after dispatch,
+    // and only the tight quota can reject one before it, so the
+    // quota-less tenant reports no rejection.
+    const char *text = R"({
+      "defaults": {"scale": 0.03125},
+      "tenants": [{"id": "tight", "max_queued": 1}, {"id": "open"}],
+      "events": [
+        {"tenant": "tight", "strategy": "severifast", "at_us": 0},
+        {"tenant": "tight", "strategy": "severifast", "at_us": 0},
+        {"tenant": "tight", "strategy": "severifast", "at_us": 0},
+        {"tenant": "tight", "strategy": "severifast", "at_us": 0},
+        {"tenant": "tight", "strategy": "severifast", "at_us": 0},
+        {"tenant": "open", "strategy": "severifast", "at_us": 0},
+        {"tenant": "open", "strategy": "severifast", "at_us": 0},
+        {"tenant": "open", "strategy": "severifast", "at_us": 0},
+        {"tenant": "open", "strategy": "severifast", "at_us": 0},
+        {"tenant": "open", "strategy": "severifast", "at_us": 0}
+      ]
+    })";
+    Result<service::WorkloadTrace> trace =
+        service::WorkloadTrace::parse(text);
+    ASSERT_TRUE(trace.isOk()) << trace.status().toString();
+
+    obs::ScopedEnable obs_on(/*metrics=*/true, /*tracing=*/false);
+    obs::Registry::instance().reset();
+    Result<fault::FaultPlan> plan =
+        fault::FaultPlan::parse("seed=3;psp:p=0.6");
+    ASSERT_TRUE(plan.isOk()) << plan.status().toString();
+    fault::ScopedFaultPlan armed(plan.take());
+
+    core::Platform platform(sim::CostParams::deterministic());
+    service::TenantRegistry registry;
+    service::ServiceConfig config;
+    config.workers = 2;
+    service::LaunchService svc(platform, registry, config);
+    Result<service::ReplayReport> report =
+        service::replayTrace(svc, *trace, /*time_scale=*/0.0);
+    ASSERT_TRUE(report.isOk()) << report.status().toString();
+
+    auto count = [](const obs::CounterFamily &family,
+                    const std::string &tenant) {
+        return family.metric(tenant).value();
+    };
+    u64 failed = 0;
+    for (const service::TenantReport &t : report->tenants) {
+        SCOPED_TRACE(t.tenant);
+        EXPECT_EQ(t.submitted, t.completed + t.rejected + t.failed);
+        EXPECT_EQ(t.submitted, count(obs::kServiceSubmitted, t.tenant));
+        EXPECT_EQ(t.completed, count(obs::kServiceCompleted, t.tenant));
+        EXPECT_EQ(t.rejected, count(obs::kServiceRejected, t.tenant));
+        EXPECT_EQ(t.failed, count(obs::kServiceFailed, t.tenant));
+        if (t.tenant == "open") {
+            EXPECT_EQ(t.rejected, 0u) << "nothing rejects a quota-less "
+                                         "tenant behind a blocking queue";
+        }
+        failed += t.failed;
+    }
+    EXPECT_GT(failed, 0u) << "p=0.6 PSP faults exhaust retry budgets";
 }
 
 TEST(TraceReplayTest, RejectsBadTimeScale)

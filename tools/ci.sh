@@ -151,14 +151,24 @@ echo "==> [model] seeded mutants must be caught"
 #      tenant's p50 stays within 2x of its solo p50.
 #    They run from the build tree, so their bench_data/<bench>.json
 #    records land there and a CI run leaves the checkout untouched.
+#    Each runs twice: unpinned, and under `taskset -c 0`, so both the
+#    many-core and the one-core thread schedules are covered.
 #    Wall-clock performance itself is judged by perfbench (7b).
 bench_dir="$root/build-ci-werror/bench"
-echo "==> [bench] cache hit/miss (bit-identity gate)"
-(cd "$bench_dir" && ./bench_cache_hit)
-echo "==> [bench] concurrent admission pipeline (single-flight gate)"
-(cd "$bench_dir" && ./bench_fig12_concurrent)
-echo "==> [bench] service fairness gate"
-(cd "$bench_dir" && ./bench_service_fairness)
+run_gate_bench() {
+    echo "==> [bench] $2 (unpinned)"
+    (cd "$bench_dir" && "./$1")
+    if command -v taskset >/dev/null 2>&1; then
+        echo "==> [bench] $2 (taskset -c 0)"
+        (cd "$bench_dir" && taskset -c 0 "./$1")
+    else
+        echo "==> [bench] $2 (taskset -c 0) SKIPPED: taskset not found"
+    fi
+}
+run_gate_bench bench_cache_hit "cache hit/miss (bit-identity gate)"
+run_gate_bench bench_fig12_concurrent \
+    "concurrent admission pipeline (single-flight gate)"
+run_gate_bench bench_service_fairness "service fairness gate"
 
 # 7b. Benchmark self-test: perfbench/run.py, the harness perf changes
 #     are judged by, must print exactly the metric names and units of
