@@ -31,8 +31,6 @@ main()
         const Variant variants[] = {
             {"bzImage-lz4", core::StrategyKind::kSeveriFastBz,
              compress::CodecKind::kLz4, compress::CodecKind::kNone},
-            {"bzImage-lzss", core::StrategyKind::kSeveriFastBz,
-             compress::CodecKind::kLzss, compress::CodecKind::kNone},
             {"bzImage-gzip", core::StrategyKind::kSeveriFastBz,
              compress::CodecKind::kGzipLite, compress::CodecKind::kNone},
             {"bzImage-lz4", core::StrategyKind::kSeveriFastBz,

@@ -35,20 +35,13 @@ main()
             u64 decompressed;
             compress::CodecKind codec;
         };
-        ByteVec lzss_bz, gzip_bz;
-        {
-            image::BzImageBuildConfig cfg;
-            cfg.codec = compress::CodecKind::kLzss;
-            lzss_bz = image::buildBzImage(art.vmlinux, cfg);
-            cfg.codec = compress::CodecKind::kGzipLite;
-            gzip_bz = image::buildBzImage(art.vmlinux, cfg);
-        }
+        image::BzImageBuildConfig gzip_cfg;
+        gzip_cfg.codec = compress::CodecKind::kGzipLite;
+        const ByteVec gzip_bz = image::buildBzImage(art.vmlinux, gzip_cfg);
         const Variant variants[] = {
             {"vmlinux", art.vmlinux.size(), 0, compress::CodecKind::kNone},
             {"bzImage-lz4", art.bzimage.size(), art.vmlinux.size(),
              compress::CodecKind::kLz4},
-            {"bzImage-lzss", lzss_bz.size(), art.vmlinux.size(),
-             compress::CodecKind::kLzss},
             {"bzImage-gzip", gzip_bz.size(), art.vmlinux.size(),
              compress::CodecKind::kGzipLite},
         };

@@ -2,9 +2,9 @@
  * @file
  * google-benchmark microbenchmarks for the from-scratch primitives the
  * boot path is built on: SHA-256, HMAC, AES-128, the XEX memory
- * encryption engine, LZ4 and LZSS codecs, and the launch-digest chain.
- * These are real wall-clock numbers (everything else in bench/ reports
- * deterministic virtual time).
+ * encryption engine, LZ4 and gzip-lite codecs, and the launch-digest
+ * chain. These are real wall-clock numbers (everything else in bench/
+ * reports deterministic virtual time).
  */
 #include <benchmark/benchmark.h>
 
@@ -119,22 +119,6 @@ BM_GzipLiteDecompress(benchmark::State &state)
                             state.range(0));
 }
 BENCHMARK(BM_GzipLiteDecompress)->Arg(1 << 20);
-
-void
-BM_LzssDecompress(benchmark::State &state)
-{
-    ByteVec data = workload::compressibleBytes(
-        static_cast<u64>(state.range(0)), 0.15, 8);
-    const compress::Codec &lzss =
-        compress::codecFor(compress::CodecKind::kLzss);
-    ByteVec stream = lzss.compress(data);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(lzss.decompress(stream));
-    }
-    state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
-                            state.range(0));
-}
-BENCHMARK(BM_LzssDecompress)->Arg(1 << 20);
 
 void
 BM_LaunchDigestExtend(benchmark::State &state)

@@ -46,19 +46,13 @@ class GuestOwner
      */
     Result<ProvisionResponse> handleReport(ByteSpan report_wire);
 
-    /** Update the expected measurement (e.g., new kernel hashes). */
-    void setExpectedMeasurement(const crypto::Sha256Digest &m)
-    {
-        expected_measurement_ = m;
-    }
-
     /** How many reports were accepted / rejected (for tests/examples). */
     u64 acceptedCount() const { return accepted_; }
     u64 rejectedCount() const { return rejected_; }
 
   private:
     const psp::KeyServer &key_server_;
-    crypto::Sha256Digest expected_measurement_;
+    const crypto::Sha256Digest expected_measurement_;
     ByteVec secret_;
     /** The provisioned secret is labelled for the owner's lifetime. */
     taint::ScopedLabel secret_label_;

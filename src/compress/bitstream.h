@@ -40,8 +40,6 @@ class BitWriter
         return std::move(out_);
     }
 
-    std::size_t bitCount() const { return out_.size() * 8 + filled_; }
-
   private:
     ByteVec out_;
     u8 cur_ = 0;

@@ -5,7 +5,6 @@
 #include "compress/frame.h"
 #include "compress/gzip_lite.h"
 #include "compress/lz4.h"
-#include "compress/lzss.h"
 
 namespace sevf::compress {
 
@@ -62,18 +61,9 @@ codecName(CodecKind kind)
     switch (kind) {
       case CodecKind::kNone: return "none";
       case CodecKind::kLz4: return "lz4";
-      case CodecKind::kLzss: return "lzss";
       case CodecKind::kGzipLite: return "gzip-lite";
     }
     return "unknown";
-}
-
-Result<u64>
-Codec::decompressedSize(ByteSpan stream)
-{
-    ByteReader r(stream);
-    SEVF_ASSIGN_OR_RETURN(detail::Header h, detail::readHeader(r));
-    return h.decompressed_size;
 }
 
 Result<CodecKind>
@@ -148,12 +138,10 @@ codecFor(CodecKind kind)
 {
     static const NoneCodec none;
     static const Lz4Codec lz4;
-    static const LzssCodec lzss;
     static const GzipLiteCodec gzip_lite;
     switch (kind) {
       case CodecKind::kNone: return none;
       case CodecKind::kLz4: return lz4;
-      case CodecKind::kLzss: return lzss;
       case CodecKind::kGzipLite: return gzip_lite;
     }
     panic("unknown codec kind");

@@ -4,8 +4,8 @@
  *
  * The paper's Fig 5 trade-off (measurement time vs decompression time)
  * is explored with three codecs: none (vmlinux-style), LZ4 (the winner,
- * used for bzImages in SEVeriFast), and LZSS as the stand-in for the
- * slower gzip-class algorithms Linux also supports.
+ * used for bzImages in SEVeriFast), and gzip-lite as the stand-in for
+ * the slower gzip-class algorithms Linux also supports.
  */
 #ifndef SEVF_COMPRESS_CODEC_H_
 #define SEVF_COMPRESS_CODEC_H_
@@ -21,8 +21,7 @@ namespace sevf::compress {
 enum class CodecKind : u8 {
     kNone = 0,     //!< identity (uncompressed vmlinux / raw initrd)
     kLz4 = 1,      //!< LZ4 block format (CONFIG_KERNEL_LZ4)
-    kLzss = 2,     //!< LZSS: fast-but-weak dictionary-only coder
-    kGzipLite = 3, //!< LZ77 + canonical Huffman (CONFIG_KERNEL_GZIP class)
+    kGzipLite = 2, //!< LZ77 + canonical Huffman (CONFIG_KERNEL_GZIP class)
 };
 
 const char *codecName(CodecKind kind);
@@ -65,13 +64,6 @@ class Codec
      * compress/gzip_lite for that module's ban to see it.
      */
     virtual Result<ByteVec> decompress(ByteSpan stream) const = 0;
-
-    /**
-     * Decompressed size recorded in the frame header, without
-     * decompressing (the bzImage loader sizes its target buffer with
-     * this, like Linux's z_output_len).
-     */
-    static Result<u64> decompressedSize(ByteSpan stream);
 
     /** Codec kind recorded in the frame header. */
     static Result<CodecKind> streamKind(ByteSpan stream);

@@ -165,7 +165,10 @@ AdmissionPipeline::submit(const std::string &tenant, StrategyKind kind,
         if (shed) {
             stats_.shed++;
         } else {
-            while (sched_.size() >= queue_limit_ && !stopping_) {
+            // Wait for a slot only while the tenant has quota to use
+            // it: an over-quota submit is refused by push() at once.
+            while (sched_.size() >= queue_limit_ && !stopping_ &&
+                   !sched_.atQuota(tenant)) {
                 space_.wait(lock.native());
             }
             if (stopping_) {
@@ -204,7 +207,6 @@ AdmissionPipeline::submit(const std::string &tenant, StrategyKind kind,
                 LaunchOutcome::kRejected);
     } else {
         work_.notify_one();
-        obs::kAdmissionSubmitted.add();
         obs::kAdmissionQueueDepth.setMax(static_cast<i64>(depth));
     }
     return ticket;
@@ -322,7 +324,6 @@ AdmissionPipeline::workerLoop()
         }
         // The freed in-flight slot may unblock a capped tenant's job.
         work_.notify_all();
-        obs::kAdmissionCompleted.add();
     }
 }
 

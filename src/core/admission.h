@@ -9,11 +9,11 @@
  * weighted deficit round robin over per-tenant sub-queues
  * (core/drr_scheduler.h) rather than global FIFO, so one flooding
  * tenant gets its weighted share of workers instead of the whole pool;
- * per-tenant queue quotas reject with a typed kQuotaExceeded. Every
- * launch names a tenant whose limits were installed first; submit() is
- * the only way in, and one path resolves every ticket and records how
- * it ended (LaunchOutcome) for Stats, the per-tenant sevf_service_*
- * families and the caller alike.
+ * per-tenant queue quotas reject with a typed kQuotaExceeded, without
+ * waiting for a queue slot. Every launch names a tenant whose limits
+ * were installed first; submit() is the only way in, and one path
+ * resolves every ticket and records how it ended (LaunchOutcome) for
+ * Stats, the per-tenant sevf_service_* families and the caller alike.
  *
  * Stage overlap falls out of the concurrency model: while one launch
  * serializes through the PSP command gate (psp::TicketGate), other
@@ -129,11 +129,14 @@ class AdmissionPipeline
      *  - kUnavailable: an injected service-enqueue fault;
      *  - kBackpressure: an injected admission fault, or a full queue
      *    under shed_on_full;
-     *  - kUnavailable: the pipeline was destroyed while this submit
-     *    blocked on a full queue;
-     *  - kQuotaExceeded: the tenant's max_queued launches already wait.
-     * Blocks only while the global queue is full. @p request's
-     * host_threads is overridden to 1 (see file comment).
+     *  - kUnavailable: the pipeline is being destroyed, or was while
+     *    this submit blocked on a full queue;
+     *  - kQuotaExceeded: the tenant's max_queued launches already wait,
+     *    decided before any wait for a queue slot, and again when one
+     *    frees.
+     * Blocks only while the global queue is full and the tenant is
+     * under its quota. @p request's host_threads is overridden to 1
+     * (see file comment).
      */
     std::shared_ptr<LaunchTicket> submit(const std::string &tenant,
                                          StrategyKind kind,

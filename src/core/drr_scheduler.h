@@ -17,7 +17,8 @@
  * re-enters at the head.
  *
  * Two per-tenant admission limits ride along:
- *  - max_queued: push() refuses past it (kQuotaExceeded at the caller),
+ *  - max_queued: push() refuses past it (kQuotaExceeded at the caller;
+ *    atQuota() answers without pushing),
  *  - max_in_flight: pop() skips the tenant until a completion is noted.
  *
  * Deliberately NOT thread-safe: the structure is header-only plain
@@ -73,8 +74,7 @@ class DrrScheduler
     push(const std::string &tenant, J &&job)
     {
         Tenant &t = tenantFor(tenant);
-        if (t.limits.max_queued != 0 &&
-            t.queue.size() >= t.limits.max_queued) {
+        if (quotaFull(t)) {
             return Push::kQuotaExceeded;
         }
         t.queue.push_back(std::forward<J>(job));
@@ -91,6 +91,15 @@ class DrrScheduler
             t.in_ring = true;
         }
         return Push::kOk;
+    }
+
+    /** True when push() would refuse @p tenant: its max_queued jobs
+     *  already wait. */
+    bool
+    atQuota(const std::string &tenant) const
+    {
+        auto it = tenants_.find(tenant);
+        return it != tenants_.end() && quotaFull(it->second);
     }
 
     /** True once setLimits() named @p tenant. Named hasLimits(), not
@@ -204,6 +213,13 @@ class DrrScheduler
     tenantFor(const std::string &tenant)
     {
         return tenants_[tenant];
+    }
+
+    static bool
+    quotaFull(const Tenant &t)
+    {
+        return t.limits.max_queued != 0 &&
+               t.queue.size() >= t.limits.max_queued;
     }
 
     /** std::map for reference stability across inserts (ring entries

@@ -868,7 +868,7 @@ buildLaunchKey(const Platform &platform, const LaunchRequest &request,
     // The cached trace stores concrete step durations, so every cost
     // parameter is key material. The assert pins the struct layout:
     // adding a parameter must revisit this function.
-    static_assert(sizeof(sim::CostParams) == 44 * sizeof(double),
+    static_assert(sizeof(sim::CostParams) == 42 * sizeof(double),
                   "CostParams changed: update buildLaunchKey");
     const sim::CostParams &p = platform.cost().params();
     kb.addBytes("cost_params",

@@ -72,9 +72,6 @@ class TraceBuilder
     /** Steps charged so far (template capture reads the prefix). */
     const sim::BootTrace &trace() const { return trace_; }
 
-    /** obs launch id for this builder's launch (0 when tracing is off). */
-    u64 obsLaunchId() const { return obs_launch_; }
-
   private:
     static u64
     obsTrack(sim::StepKind kind)

@@ -27,7 +27,7 @@ constexpr u64 kLine = 16;
  */
 Result<u64>
 placeSegments(memory::GuestMemory &mem, const image::ElfView &elf,
-              bool c_bit, u64 slide = 0)
+              bool c_bit, u64 slide)
 {
     u64 loaded = 0;
     for (const image::ElfSegmentView &seg : elf.segments) {
@@ -85,21 +85,6 @@ runBootstrapLoader(memory::GuestMemory &mem, Gpa bzimage_gpa, u64 size,
     out.loaded_bytes = loaded;
     out.kaslr_slide = slide;
     out.codec = info.codec;
-    return out;
-}
-
-Result<LoadedKernel>
-loadVmlinuxAt(memory::GuestMemory &mem, Gpa vmlinux_gpa, u64 size,
-              bool c_bit)
-{
-    SEVF_ASSIGN_OR_RETURN(ByteVec file,
-                          mem.guestRead(vmlinux_gpa, size, c_bit));
-    SEVF_ASSIGN_OR_RETURN(image::ElfView elf, image::parseElfView(file));
-    SEVF_ASSIGN_OR_RETURN(u64 loaded, placeSegments(mem, elf, c_bit));
-    LoadedKernel out;
-    out.entry = elf.entry;
-    out.decompressed_bytes = size;
-    out.loaded_bytes = loaded;
     return out;
 }
 

@@ -4,10 +4,10 @@
  *
  * This is the decompression stage SEVeriFast deliberately puts *back*
  * on the boot path (§4.4): it reads the protected bzImage from C-bit
- * memory, decompresses the payload (real LZ4/LZSS), and loads the inner
- * vmlinux's PT_LOAD segments to their run addresses. Trading this
- * decompression for less measured-direct-boot hashing is the paper's
- * central counterintuitive result.
+ * memory, decompresses the payload (real LZ4 or gzip-lite), and loads
+ * the inner vmlinux's PT_LOAD segments to their run addresses. Trading
+ * this decompression for less measured-direct-boot hashing is the
+ * paper's central counterintuitive result.
  */
 #ifndef SEVF_GUEST_BOOTSTRAP_LOADER_H_
 #define SEVF_GUEST_BOOTSTRAP_LOADER_H_
@@ -56,14 +56,6 @@ Result<LoadedKernel> runBootstrapLoader(memory::GuestMemory &mem,
                                         Gpa bzimage_gpa, u64 size,
                                         bool c_bit, MutByteSpan decode_area,
                                         const KaslrConfig &kaslr = {});
-
-/**
- * Direct vmlinux load (no decompression): parse the ELF at
- * @p vmlinux_gpa and place its segments. Used by tests and the stock
- * VMM loader path.
- */
-Result<LoadedKernel> loadVmlinuxAt(memory::GuestMemory &mem,
-                                   Gpa vmlinux_gpa, u64 size, bool c_bit);
 
 } // namespace sevf::guest
 

@@ -126,12 +126,4 @@ bzImagePayload(ByteSpan file) SEVF_UNTRUSTED_INPUT
                         info.payload_length);
 }
 
-Result<ByteVec>
-extractVmlinux(ByteSpan file) SEVF_UNTRUSTED_INPUT
-{
-    SEVF_ASSIGN_OR_RETURN(BzImageInfo info, parseBzImage(file));
-    SEVF_ASSIGN_OR_RETURN(ByteSpan payload, bzImagePayload(file));
-    return compress::codecFor(info.codec).decompress(payload);
-}
-
 } // namespace sevf::image

@@ -54,15 +54,12 @@ ByteVec buildBzImage(ByteSpan vmlinux, const BzImageBuildConfig &config);
 /** Validate the setup header and return the image geometry. */
 Result<BzImageInfo> parseBzImage(ByteSpan file);
 
-/** Borrow the compressed payload stream. */
-Result<ByteSpan> bzImagePayload(ByteSpan file);
-
 /**
- * Locate the payload and decompress it back into the vmlinux ELF, as a
- * fresh vector. The in-guest bootstrap loader decodes the same payload
- * into its init_size decompression area instead (guest/bootstrap_loader.h).
+ * Borrow the compressed payload stream. Only the in-guest bootstrap
+ * loader decodes it (guest/bootstrap_loader.h), into its init_size
+ * decompression area.
  */
-Result<ByteVec> extractVmlinux(ByteSpan file);
+Result<ByteSpan> bzImagePayload(ByteSpan file);
 
 } // namespace sevf::image
 

@@ -17,26 +17,6 @@ constexpr u16 kMachineX86_64 = 62;
 
 } // namespace
 
-u64
-ElfImage::fileBytes() const
-{
-    u64 sum = 0;
-    for (const ElfSegment &s : segments) {
-        sum += s.data.size();
-    }
-    return sum;
-}
-
-u64
-ElfImage::loadEnd() const
-{
-    u64 end = 0;
-    for (const ElfSegment &s : segments) {
-        end = std::max(end, s.vaddr + std::max<u64>(s.memsz, s.data.size()));
-    }
-    return end;
-}
-
 ByteVec
 writeElf(const ElfImage &image)
 {
@@ -178,20 +158,6 @@ parseElfView(ByteSpan file) SEVF_UNTRUSTED_INPUT
         return errCorrupted("elf: no PT_LOAD segments");
     }
     return view;
-}
-
-Result<ElfImage>
-parseElf(ByteSpan file) SEVF_UNTRUSTED_INPUT
-{
-    SEVF_ASSIGN_OR_RETURN(ElfView view, parseElfView(file));
-    ElfImage image;
-    image.entry = view.entry;
-    for (const ElfSegmentView &seg : view.segments) {
-        image.segments.push_back(ElfSegment{
-            seg.vaddr, seg.flags, seg.memsz,
-            ByteVec(seg.data.begin(), seg.data.end())});
-    }
-    return image;
 }
 
 } // namespace sevf::image

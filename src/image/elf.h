@@ -30,15 +30,10 @@ struct ElfSegment {
     ByteVec data;    //!< file contents
 };
 
-/** A loadable ELF image. */
+/** A loadable ELF image, as writeElf() serializes it. */
 struct ElfImage {
     u64 entry = 0; //!< the kernel's 64-bit entry point
     std::vector<ElfSegment> segments;
-
-    /** Sum of file-backed segment bytes. */
-    u64 fileBytes() const;
-    /** Highest vaddr+memsz across segments. */
-    u64 loadEnd() const;
 };
 
 /** Fixed header geometry (64-bit ELF, no sections). */
@@ -70,9 +65,6 @@ struct ElfView {
  * guest memory without an intermediate copy.
  */
 Result<ElfView> parseElfView(ByteSpan file);
-
-/** parseElfView, with each segment copied into an owning ElfImage. */
-Result<ElfImage> parseElf(ByteSpan file);
 
 /**
  * Geometry of an ELF file, parsed from the 64-byte header alone. The

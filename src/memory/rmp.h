@@ -85,7 +85,6 @@ class Rmp
     /** Number of currently validated pages. */
     u64 validatedCount() const;
 
-    u64 pageCount() const { return entries_.size(); }
     Spa spaBase() const { return spa_base_; }
 
   private:

@@ -83,10 +83,6 @@ namespace sevf::obs {
       kBootExport | kRunbook,                                                 \
       "Warm templates invalidated after failing to replay")                   \
     /* Admission pipeline (core/admission.cc). */                             \
-    X(kAdmissionSubmitted, Counter, "sevf_admission_submitted_total", "",     \
-      kNoContract, "Launches admitted to the pipeline")                       \
-    X(kAdmissionCompleted, Counter, "sevf_admission_completed_total", "",     \
-      kNoContract, "Launches completed by the pipeline")                      \
     X(kAdmissionShed, Counter, "sevf_admission_shed_total", "",               \
       kServeExport | kRunbook,                                                \
       "Launches rejected with kBackpressure instead of queueing")             \

@@ -92,13 +92,6 @@ CostModel::lz4Decompress(u64 decompressed_bytes) const
 }
 
 Duration
-CostModel::lzssDecompress(u64 decompressed_bytes) const
-{
-    return Duration::fromMsF(mib(decompressed_bytes) *
-                             p_.lzss_decompress_per_mib_ms);
-}
-
-Duration
 CostModel::gzipDecompress(u64 decompressed_bytes) const
 {
     return Duration::fromMsF(mib(decompressed_bytes) *
@@ -114,18 +107,10 @@ CostModel::decompressCost(compress::CodecKind kind,
         return Duration::zero();
       case compress::CodecKind::kLz4:
         return lz4Decompress(decompressed_bytes);
-      case compress::CodecKind::kLzss:
-        return lzssDecompress(decompressed_bytes);
       case compress::CodecKind::kGzipLite:
         return gzipDecompress(decompressed_bytes);
     }
     return Duration::zero();
-}
-
-Duration
-CostModel::lz4Compress(u64 input_bytes) const
-{
-    return Duration::fromMsF(mib(input_bytes) * p_.lz4_compress_per_mib_ms);
 }
 
 Duration

@@ -53,12 +53,10 @@ class CostModel
     Duration cpuCopy(u64 bytes) const;
     Duration cpuSha256(u64 bytes) const;
     Duration lz4Decompress(u64 decompressed_bytes) const;
-    Duration lzssDecompress(u64 decompressed_bytes) const;
     Duration gzipDecompress(u64 decompressed_bytes) const;
     /** Dispatch on codec kind. */
     Duration decompressCost(compress::CodecKind kind,
                             u64 decompressed_bytes) const;
-    Duration lz4Compress(u64 input_bytes) const;
     /** pvalidate sweep over @p mem_bytes of guest memory. */
     Duration pvalidate(u64 mem_bytes, bool hugepages) const;
     Duration pageTableInit() const;

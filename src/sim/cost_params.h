@@ -76,17 +76,10 @@ struct CostParams {
     /** LZ4 decompression per MiB of *decompressed* output. */
     double lz4_decompress_per_mib_ms = 0.58;
 
-    /** LZSS decompression per MiB of decompressed output. */
-    double lzss_decompress_per_mib_ms = 1.9;
-
     /** gzip-class (LZ77+Huffman) decompression per MiB of decompressed
-     *  output - the slowest of the kernel codecs, which is why Fig 5
-     *  picks LZ4 despite gzip's better ratio. */
+     *  output - slower than LZ4, which is why Fig 5 picks LZ4 despite
+     *  gzip's better ratio. */
     double gzip_decompress_per_mib_ms = 2.8;
-
-    /** LZ4 compression per MiB of input (off the critical path; kernels
-     *  are compressed at build time). */
-    double lz4_compress_per_mib_ms = 4.0;
 
     /** pvalidate on a 4 KiB page. 256 MiB of 4K pages => >60 ms (§6.1). */
     double pvalidate_4k_us = 0.92;

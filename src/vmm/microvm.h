@@ -2,14 +2,14 @@
  * @file
  * The microVM monitor - our Firecracker stand-in (§5).
  *
- * Owns guest memory and the debug-port timeline, builds the boot data
- * structures (mptable, boot_params, cmdline), and implements the two
- * host-side load paths: classic direct boot (stock Firecracker: ELF
- * segments placed, structures generated, enter at the 64-bit entry
- * point, §2.1) and measured-direct-boot staging for the SEV paths
- * (components into shared windows, Fig 2 step 3). SEV launch policy
- * lives in core/ (the BootStrategy implementations); this class is the
- * mechanism they drive.
+ * Owns guest memory, builds the boot data structures (mptable,
+ * boot_params, cmdline), and implements the two host-side load paths:
+ * classic direct boot (stock Firecracker: ELF segments placed,
+ * structures generated, enter at the 64-bit entry point, §2.1) and
+ * measured-direct-boot staging for the SEV paths (components into
+ * shared windows, Fig 2 step 3). SEV launch policy lives in core/ (the
+ * BootStrategy implementations); this class is the mechanism they
+ * drive.
  */
 #ifndef SEVF_VMM_MICROVM_H_
 #define SEVF_VMM_MICROVM_H_
@@ -20,7 +20,6 @@
 #include "base/status.h"
 #include "memory/guest_memory.h"
 #include "verifier/boot_hashes.h"
-#include "vmm/debug_port.h"
 #include "vmm/vm_config.h"
 
 namespace sevf::vmm {
@@ -77,7 +76,6 @@ class MicroVm
 
     memory::GuestMemory &memory() { return *memory_; }
     const VmConfig &config() const { return config_; }
-    DebugPort &debugPort() { return debug_port_; }
 
     /**
      * Stock Firecracker path: parse the vmlinux host-side, place every
@@ -114,7 +112,6 @@ class MicroVm
   private:
     VmConfig config_;
     std::unique_ptr<memory::GuestMemory> memory_;
-    DebugPort debug_port_;
 };
 
 } // namespace sevf::vmm

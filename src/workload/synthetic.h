@@ -37,7 +37,7 @@ double calibrateRandomFraction(u64 size, u64 target_compressed, u64 seed,
 struct KernelArtifacts {
     KernelSpec spec;
     double scale = 1.0;
-    ByteVec vmlinux;     //!< ELF64 file, parseable by image::parseElf
+    ByteVec vmlinux;     //!< ELF64 file, parseable by image::parseElfView
     ByteVec bzimage;     //!< LZ4 bzImage, parseable by image::parseBzImage
     u64 entry = 0;       //!< kernel entry point inside the ELF
 };

@@ -980,12 +980,20 @@ TEST(DrrSchedulerTest, MaxQueuedRefusesPush)
     limits.max_queued = 2;
     sched.setLimits("t", limits);
     EXPECT_EQ(sched.push("t", 1), core::DrrScheduler<int>::Push::kOk);
+    EXPECT_FALSE(sched.atQuota("t"));
     EXPECT_EQ(sched.push("t", 2), core::DrrScheduler<int>::Push::kOk);
+    EXPECT_TRUE(sched.atQuota("t"));
     EXPECT_EQ(sched.push("t", 3),
               core::DrrScheduler<int>::Push::kQuotaExceeded);
     // A pop frees a slot (quota is on QUEUED jobs, not in-flight ones).
     ASSERT_TRUE(sched.pop().has_value());
+    EXPECT_FALSE(sched.atQuota("t"));
     EXPECT_EQ(sched.push("t", 3), core::DrrScheduler<int>::Push::kOk);
+    // Unnamed and unlimited tenants are never at quota.
+    EXPECT_FALSE(sched.atQuota("ghost"));
+    sched.setLimits("open", {});
+    EXPECT_EQ(sched.push("open", 4), core::DrrScheduler<int>::Push::kOk);
+    EXPECT_FALSE(sched.atQuota("open"));
 }
 
 TEST(DrrSchedulerTest, IdleTenantEntersAtRingHead)

@@ -69,9 +69,9 @@ TEST_F(BootstrapLoaderTest, PlainBzImageBoot)
     EXPECT_GT(loaded->loaded_bytes, 0u);
 
     // Segment data landed at its vaddr; BSS is zeroed.
-    Result<image::ElfImage> elf = image::parseElf(art_.vmlinux);
+    Result<image::ElfView> elf = image::parseElfView(art_.vmlinux);
     ASSERT_TRUE(elf.isOk());
-    const image::ElfSegment &last = elf->segments.back();
+    const image::ElfSegmentView &last = elf->segments.back();
     ASSERT_GT(last.memsz, last.data.size());
     Result<ByteVec> bss = mem.hostRead(last.vaddr + last.data.size(), 16);
     ASSERT_TRUE(bss.isOk());
@@ -95,8 +95,8 @@ TEST_F(BootstrapLoaderTest, EncryptedBzImageBoot)
     EXPECT_EQ(loaded->entry, art_.entry);
 
     // Kernel text is plaintext for the guest, ciphertext for the host.
-    Result<image::ElfImage> elf = image::parseElf(art_.vmlinux);
-    const image::ElfSegment &seg0 = elf->segments[0];
+    Result<image::ElfView> elf = image::parseElfView(art_.vmlinux);
+    const image::ElfSegmentView &seg0 = elf->segments[0];
     EXPECT_EQ(*mem.guestRead(seg0.vaddr, 64, true),
               ByteVec(seg0.data.begin(), seg0.data.begin() + 64));
     EXPECT_NE(*mem.hostRead(seg0.vaddr, 64),
@@ -138,17 +138,6 @@ TEST_F(BootstrapLoaderTest, FrameDeclaringMoreThanInitSizeIsCorrupt)
     EXPECT_EQ(area, untouched);
 }
 
-TEST_F(BootstrapLoaderTest, DirectVmlinuxLoad)
-{
-    memory::GuestMemory mem(64 * kMiB, kSpaBase, 0);
-    ASSERT_TRUE(mem.hostWrite(0x2000000, art_.vmlinux).isOk());
-    Result<LoadedKernel> loaded =
-        loadVmlinuxAt(mem, 0x2000000, art_.vmlinux.size(), false);
-    ASSERT_TRUE(loaded.isOk());
-    EXPECT_EQ(loaded->entry, art_.entry);
-}
-
-
 TEST_F(BootstrapLoaderTest, GuestKaslrSlidesKernel)
 {
     memory::GuestMemory mem(128 * kMiB, kSpaBase, 0);
@@ -166,8 +155,8 @@ TEST_F(BootstrapLoaderTest, GuestKaslrSlidesKernel)
     EXPECT_EQ(loaded->entry, art_.entry + loaded->kaslr_slide);
 
     // The kernel text actually lives at the slid address.
-    Result<image::ElfImage> elf = image::parseElf(art_.vmlinux);
-    const image::ElfSegment &seg0 = elf->segments[0];
+    Result<image::ElfView> elf = image::parseElfView(art_.vmlinux);
+    const image::ElfSegmentView &seg0 = elf->segments[0];
     EXPECT_EQ(*mem.hostRead(seg0.vaddr + loaded->kaslr_slide, 64),
               ByteVec(seg0.data.begin(), seg0.data.begin() + 64));
 }

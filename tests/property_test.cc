@@ -40,7 +40,7 @@ TEST_P(CodecFuzz, RoundTripsArbitraryData)
     ByteVec data = workload::compressibleBytes(size, fraction, rng.next());
 
     for (auto kind :
-         {compress::CodecKind::kLz4, compress::CodecKind::kLzss}) {
+         {compress::CodecKind::kLz4, compress::CodecKind::kGzipLite}) {
         const compress::Codec &codec = compress::codecFor(kind);
         ByteVec stream = codec.compress(data);
         Result<ByteVec> back = codec.decompress(stream);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -200,6 +201,67 @@ TEST(LaunchServiceTest, TenantQuotaRejectionCountsPerTenant)
     }
     EXPECT_GT(rejected, 0u);
     EXPECT_EQ(obs::kServiceRejected.metric("tight").value(), rejected);
+}
+
+TEST(LaunchServiceTest, OverQuotaSubmitDoesNotWaitForAQueueSlot)
+{
+    // One worker held inside launch X, and a full two-slot queue (a1,
+    // b1): tenant a already has its one queued launch, so a2 must be
+    // refused at once, not after X finishes and frees a slot.
+    core::Platform platform(sim::CostParams::deterministic());
+    service::TenantRegistry registry;
+    service::ServiceConfig config;
+    config.workers = 1;
+    config.queue_depth = 2;
+    service::LaunchService svc(platform, registry, config);
+    service::TenantQuota one;
+    one.max_queued = 1;
+    ASSERT_TRUE(svc.registerTenant("a", one).isOk());
+    ASSERT_TRUE(svc.registerTenant("b", {}).isOk());
+
+    // The test owns X's template build, so the worker waits in the
+    // cache's single-flight lookup until the key is abandoned.
+    constexpr core::StrategyKind kKind = core::StrategyKind::kSeveriFastBz;
+    cache::TemplateCache &cache = platform.templateCache();
+    const cache::LaunchKey key =
+        core::buildLaunchKey(platform, smallRequest(), kKind);
+    ASSERT_TRUE(cache.beginLookup(key).claimed);
+    auto x = svc.submit("b", kKind, smallRequest());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (cache.stats().single_flight_waits < 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (cache.stats().single_flight_waits < 1) {
+        cache.abandon(key);
+        FAIL() << "launch X never reached the template lookup";
+    }
+    auto a1 = svc.submit("a", kKind, smallRequest());
+    auto b1 = svc.submit("b", kKind, smallRequest());
+
+    std::promise<std::shared_ptr<core::LaunchTicket>> submitted;
+    std::future<std::shared_ptr<core::LaunchTicket>> a2 =
+        submitted.get_future();
+    std::thread helper([&] {
+        submitted.set_value(svc.submit("a", kKind, smallRequest()));
+    });
+    const bool returned =
+        a2.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+    EXPECT_TRUE(returned) << "over-quota submit blocked on a full queue";
+    if (returned) {
+        std::shared_ptr<core::LaunchTicket> ticket = a2.get();
+        EXPECT_TRUE(ticket->ready());
+        EXPECT_EQ(ticket->take().status().code(),
+                  ErrorCode::kQuotaExceeded);
+        EXPECT_FALSE(x->ready()) << "the worker must still be held";
+    }
+    cache.abandon(key);
+    helper.join();
+    svc.drain();
+    for (auto *ticket : {&x, &a1, &b1}) {
+        EXPECT_TRUE((*ticket)->take().isOk());
+    }
 }
 
 TEST(LaunchServiceTest, UnknownTenantIdsDoNotGrowTheMetricsRegistry)

@@ -154,9 +154,9 @@ TEST_F(SevLaunchFixture, BzImagePathVerifiesAndLoads)
     EXPECT_EQ(loaded->decompressed_bytes, art_.vmlinux.size());
 
     // Kernel text is where it should run, decryptable only as guest.
-    Result<image::ElfImage> elf = image::parseElf(art_.vmlinux);
+    Result<image::ElfView> elf = image::parseElfView(art_.vmlinux);
     ASSERT_TRUE(elf.isOk());
-    const image::ElfSegment &seg0 = elf->segments[0];
+    const image::ElfSegmentView &seg0 = elf->segments[0];
     EXPECT_EQ(*vm_->memory().guestRead(seg0.vaddr, 128, true),
               ByteVec(seg0.data.begin(), seg0.data.begin() + 128));
 }
@@ -170,9 +170,9 @@ TEST_F(SevLaunchFixture, VmlinuxStreamingPathLoadsDirectly)
     EXPECT_EQ(boot->kernel_entry, art_.entry);
 
     // Segments already sit at their run addresses - no bootstrap loader.
-    Result<image::ElfImage> elf = image::parseElf(art_.vmlinux);
+    Result<image::ElfView> elf = image::parseElfView(art_.vmlinux);
     ASSERT_TRUE(elf.isOk());
-    for (const image::ElfSegment &seg : elf->segments) {
+    for (const image::ElfSegmentView &seg : elf->segments) {
         ByteVec head(seg.data.begin(),
                      seg.data.begin() +
                          std::min<std::size_t>(64, seg.data.size()));

@@ -10,6 +10,7 @@
 #include "image/elf.h"
 #include "verifier/verifier_binary.h"
 #include "vmm/boot_params.h"
+#include "vmm/debug_port.h"
 #include "vmm/fw_cfg.h"
 #include "vmm/layout.h"
 #include "vmm/microvm.h"
@@ -186,9 +187,9 @@ TEST_F(MicroVmTest, DirectBootPlacesKernelAndStructs)
     EXPECT_GT(load->kernel_file_bytes, 0u);
 
     // First segment bytes appear at the load address.
-    Result<image::ElfImage> elf = image::parseElf(art_.vmlinux);
+    Result<image::ElfView> elf = image::parseElfView(art_.vmlinux);
     ASSERT_TRUE(elf.isOk());
-    const image::ElfSegment &seg0 = elf->segments[0];
+    const image::ElfSegmentView &seg0 = elf->segments[0];
     EXPECT_EQ(*vm.memory().hostRead(seg0.vaddr, 64),
               ByteVec(seg0.data.begin(), seg0.data.begin() + 64));
 

@@ -99,7 +99,7 @@ TEST_P(KernelArtifactsTest, ProducesValidLoadableImages)
     const KernelArtifacts &art = cachedKernelArtifacts(GetParam(), kTestScale);
 
     // vmlinux is a parseable x86-64 ELF with the expected entry.
-    Result<image::ElfImage> elf = image::parseElf(art.vmlinux);
+    Result<image::ElfView> elf = image::parseElfView(art.vmlinux);
     ASSERT_TRUE(elf.isOk()) << elf.status().toString();
     EXPECT_EQ(elf->entry, art.entry);
     EXPECT_GE(elf->segments.size(), 3u);
@@ -108,7 +108,10 @@ TEST_P(KernelArtifactsTest, ProducesValidLoadableImages)
     Result<image::BzImageInfo> info = image::parseBzImage(art.bzimage);
     ASSERT_TRUE(info.isOk()) << info.status().toString();
     EXPECT_EQ(info->codec, compress::CodecKind::kLz4);
-    Result<ByteVec> back = image::extractVmlinux(art.bzimage);
+    Result<ByteSpan> payload = image::bzImagePayload(art.bzimage);
+    ASSERT_TRUE(payload.isOk());
+    Result<ByteVec> back =
+        compress::codecFor(info->codec).decompress(*payload);
     ASSERT_TRUE(back.isOk());
     EXPECT_EQ(*back, art.vmlinux);
 }

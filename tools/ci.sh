@@ -6,9 +6,9 @@
 # project linter (including its guarded-by / lock-order /
 # interprocedural secret-flow passes), a clang -Wthread-safety build
 # when clang is installed, the launch-protocol model checker, the
-# wall-clock gate benches, and the self-test of the perfbench
-# benchmark, each configuration in its own build tree so they never
-# clobber one another.
+# wall-clock gate benches, and the perfbench benchmark (its self-test,
+# then one full-length run of each workload), each configuration in its
+# own build tree so they never clobber one another.
 #
 #   tools/ci.sh            # run everything
 #   CI_JOBS=4 tools/ci.sh  # cap build/test parallelism
@@ -174,10 +174,23 @@ run_gate_bench bench_service_fairness "service fairness gate"
 #     are judged by, must print exactly the metric names and units of
 #     BENCHMARK.json for every workload (untraced and traced) with no
 #     failed launch, and a run with a corrupted reference digest must
-#     fail its correctness gate. Builds into its own tree.
+#     fail its correctness gate. Builds into its own tree. Then each
+#     workload runs as the benchmark itself runs it (20 s, untraced),
+#     into the same tree: run.py exits 1 when a timed launch fails or
+#     misses its reference measurement or warm_serve's backlog check
+#     marks the run invalid, and 2 when it cannot build, a harness
+#     process overruns its budget, or no JSON line is printed. The
+#     self-test's 1 s runs show none of that.
 echo "==> [perfbench] python3 perfbench/selftest.py"
 (cd "$root" && \
     CARGO_TARGET_DIR="$root/build-ci-perfbench" python3 perfbench/selftest.py)
+for workload in cold_boot warm_serve cache_churn; do
+    echo "==> [perfbench] python3 perfbench/run.py --workload $workload" \
+         "--seed 7 --seconds 20 --trace 0"
+    (cd "$root" && \
+        CARGO_TARGET_DIR="$root/build-ci-perfbench" python3 perfbench/run.py \
+            --workload "$workload" --seed 7 --seconds 20 --trace 0)
+done
 
 # 8. Observability: boot one SEV-SNP launch with tracing + metrics on,
 #    then validate both exports with sevf_obscheck — Chrome-trace

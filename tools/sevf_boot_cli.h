@@ -55,9 +55,9 @@ bootFlags()
         {"--no-attest", nullptr, "skip remote attestation after boot"},
         {"--no-oob-hash", nullptr,
          "disable out-of-band hashing (re-adds VMM hash time)"},
-        {"--kernel-codec", "none|lz4|lzss|gzip",
+        {"--kernel-codec", "none|lz4|gzip",
          "bzImage payload codec (default lz4)"},
-        {"--initrd-codec", "none|lz4|lzss|gzip",
+        {"--initrd-codec", "none|lz4|gzip",
          "initrd codec (default none)"},
         {"--verifier-size", "BYTES",
          "override the boot-verifier binary size (0 = 13 KiB default)"},
@@ -151,9 +151,6 @@ parseCodec(const std::string &v)
     }
     if (v == "lz4") {
         return compress::CodecKind::kLz4;
-    }
-    if (v == "lzss") {
-        return compress::CodecKind::kLzss;
     }
     if (v == "gzip") {
         return compress::CodecKind::kGzipLite;
