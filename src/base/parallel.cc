@@ -51,6 +51,24 @@ runSerial(u64 begin, u64 end, u64 grain, const ChunkFn &fn)
 } // namespace
 
 struct ThreadPool::Impl {
+    /**
+     * One parallelFor call. The caller fills it in before publishing it
+     * under mu, and only the cursor and the completion count change
+     * after that. A worker claims chunks only from the job it took under
+     * mu and keeps that job alive: one that wakes after its job finished
+     * finds the cursor past end, claims nothing, and never reads the
+     * next job's descriptor.
+     */
+    struct Job {
+        u64 end = 0;
+        u64 grain = 1;
+        u64 total_chunks = 0;
+        const ChunkFn *fn = nullptr;
+        u64 ctx_token = 0; //!< WorkerContextHooks token
+        std::atomic<u64> cursor{0};
+        u64 completed_chunks = 0; //!< guarded by Impl::mu
+    };
+
     Mutex call_mu; //!< serializes parallelFor invocations; taken before mu
 
     Mutex mu;
@@ -59,48 +77,34 @@ struct ThreadPool::Impl {
     std::vector<std::thread> workers;
     bool shutdown SEVF_GUARDED_BY(mu) = false;
 
-    // Current job, valid while job_active. Workers claim disjoint
+    // The current job, null while idle. Workers claim disjoint
     // [cursor, cursor+grain) chunks with a lock-free fetch_add; the
     // caller participates too, so a pool of N uses exactly N threads.
-    // The descriptor fields (end, grain, total_chunks, fn, ctx_token)
-    // are written under mu before workers are woken and then read
-    // lock-free inside claimChunks: the generation handshake in
-    // workerLoop (a mu acquire/release after the write) provides the
-    // happens-before, which is why claimChunks alone is marked
-    // SEVF_NO_THREAD_SAFETY_ANALYSIS.
     u64 generation SEVF_GUARDED_BY(mu) = 0;
-    bool job_active SEVF_GUARDED_BY(mu) = false;
-    std::atomic<u64> cursor{0};
-    u64 end SEVF_GUARDED_BY(mu) = 0;
-    u64 grain SEVF_GUARDED_BY(mu) = 1;
-    u64 total_chunks SEVF_GUARDED_BY(mu) = 0;
-    u64 completed_chunks SEVF_GUARDED_BY(mu) = 0;
-    const ChunkFn *fn SEVF_GUARDED_BY(mu) SEVF_PT_GUARDED_BY(mu) = nullptr;
-    u64 ctx_token SEVF_GUARDED_BY(mu) = 0; //!< WorkerContextHooks token
+    std::shared_ptr<Job> job SEVF_GUARDED_BY(mu);
     std::exception_ptr error SEVF_GUARDED_BY(mu);
 
-    // Lock-free by protocol (see the descriptor-field comment above):
-    // the job descriptor is immutable while any worker is inside this
-    // function, and the generation handshake orders the reads after the
-    // submitting thread's writes.
+    // Reads of the job descriptor are lock-free: it is immutable once
+    // published, and taking the job under mu orders them after the
+    // caller's writes. completed_chunks is updated under mu.
     void
-    claimChunks() SEVF_NO_THREAD_SAFETY_ANALYSIS
+    claimChunks(Job &j) SEVF_NO_THREAD_SAFETY_ANALYSIS
     {
         u64 ctx_saved = 0;
         u64 (*ctx_enter)(u64) = g_ctx_enter.load(std::memory_order_acquire);
         if (ctx_enter != nullptr) {
-            ctx_saved = ctx_enter(ctx_token);
+            ctx_saved = ctx_enter(j.ctx_token);
         }
         tl_in_parallel_region = true;
         u64 local_done = 0;
         while (true) {
-            u64 lo = cursor.fetch_add(grain, std::memory_order_relaxed);
-            if (lo >= end) {
+            u64 lo = j.cursor.fetch_add(j.grain, std::memory_order_relaxed);
+            if (lo >= j.end) {
                 break;
             }
-            u64 hi = std::min(lo + grain, end);
+            u64 hi = std::min(lo + j.grain, j.end);
             try {
-                (*fn)(lo, hi);
+                (*j.fn)(lo, hi);
             } catch (...) {
                 MutexLock lock(mu);
                 if (!error) {
@@ -118,8 +122,8 @@ struct ThreadPool::Impl {
         }
         if (local_done > 0) {
             MutexLock lock(mu);
-            completed_chunks += local_done;
-            if (completed_chunks == total_chunks) {
+            j.completed_chunks += local_done;
+            if (j.completed_chunks == j.total_chunks) {
                 cv_done.notify_all();
             }
         }
@@ -130,21 +134,22 @@ struct ThreadPool::Impl {
     {
         u64 seen_generation = 0;
         while (true) {
+            std::shared_ptr<Job> taken;
             {
                 MutexLock lock(mu);
                 // Explicit wait loop (not a predicate lambda) so the
                 // thread-safety analysis sees every guarded read made
                 // with mu held.
-                while (!shutdown &&
-                       !(job_active && generation != seen_generation)) {
+                while (!shutdown && !(job && generation != seen_generation)) {
                     cv_work.wait(lock.native());
                 }
                 if (shutdown) {
                     return;
                 }
                 seen_generation = generation;
+                taken = job;
             }
-            claimChunks();
+            claimChunks(*taken);
         }
     }
 };
@@ -184,31 +189,30 @@ ThreadPool::parallelFor(u64 begin, u64 end, u64 grain, const ChunkFn &fn)
     }
 
     MutexLock call_lock(impl_->call_mu);
+    auto job = std::make_shared<Impl::Job>();
+    job->end = end;
+    job->grain = grain;
+    job->total_chunks = total;
+    job->fn = &fn;
+    job->ctx_token = captureWorkerContext();
+    job->cursor.store(begin, std::memory_order_relaxed);
     {
         MutexLock lock(impl_->mu);
-        impl_->cursor.store(begin, std::memory_order_relaxed);
-        impl_->end = end;
-        impl_->grain = grain;
-        impl_->total_chunks = total;
-        impl_->completed_chunks = 0;
-        impl_->fn = &fn;
-        impl_->ctx_token = captureWorkerContext();
+        impl_->job = job;
         impl_->error = nullptr;
         ++impl_->generation;
-        impl_->job_active = true;
     }
     impl_->cv_work.notify_all();
 
-    impl_->claimChunks();
+    impl_->claimChunks(*job);
 
     std::exception_ptr first_error;
     {
         MutexLock lock(impl_->mu);
-        while (impl_->completed_chunks != impl_->total_chunks) {
+        while (job->completed_chunks != total) {
             impl_->cv_done.wait(lock.native());
         }
-        impl_->job_active = false;
-        impl_->fn = nullptr;
+        impl_->job = nullptr;
         first_error = impl_->error;
         impl_->error = nullptr;
     }

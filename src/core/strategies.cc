@@ -447,8 +447,8 @@ class SeveriFastStrategy final : public BootStrategy
         }
         result.verifier_stats = boot->stats;
 
-        tb.cpu(cost.pvalidate(boot->stats.pages_validated * kPageSize,
-                              request.vm.hugepages),
+        tb.cpu(cost.pvalidateSweep(boot->stats.pages_validated * kPageSize,
+                                   request.vm.hugepages),
                kBootVerification, "pvalidate_sweep");
         tb.cpu(cost.pageTableInit(), kBootVerification, "init_page_tables");
         tb.cpu(cost.cpuCopy(boot->stats.bytes_copied), kBootVerification,
@@ -770,7 +770,8 @@ class SevDirectBootStrategy final : public BootStrategy
         // ---- Guest: claim memory (SNP), maybe decompress, boot ----
         if (vm.memory().integrityEnforced()) {
             SEVF_RETURN_IF_ERROR(claimRemainingPages(vm.memory()));
-            tb.cpu(cost.pvalidate(vm.memory().size(), request.vm.hugepages),
+            tb.cpu(cost.pvalidateSweep(vm.memory().size(),
+                                       request.vm.hugepages),
                    kBootVerification, "pvalidate_sweep");
         }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "base/logging.h"
@@ -86,18 +87,18 @@ GuestMemory::attachEncryption(std::unique_ptr<crypto::XexCipher> engine)
 void
 GuestMemory::materializePage(u64 page) const
 {
-    auto it = cow_.find(page);
-    if (it == cow_.end()) {
+    u32 view = cow_index_[page];
+    if (view == 0) {
         return;
     }
-    CowSource src = std::move(it->second);
-    cow_.erase(it);
+    cow_index_[page] = 0;
+    const CowView &v = cow_views_[view - 1];
+    u64 off = (page - v.first_page) * kPageSize;
+    u64 take = std::min<u64>(kPageSize, v.data->size() - off);
     u8 *dst = bytes_.data() + page * kPageSize;
-    std::memcpy(dst, src.data->data() + src.offset, src.len);
-    if (src.len < kPageSize) {
-        std::memset(dst + src.len, 0, kPageSize - src.len);
-    }
-    if (src.encrypted) {
+    std::memcpy(dst, v.data->data() + off, take);
+    std::memset(dst + take, 0, kPageSize - take);
+    if (v.encrypted) {
         // Per-VM ciphertext: the cached plaintext meets this VM's key
         // and SPA tweak only here, at first touch.
         SEVF_CHECK(engine_ != nullptr);
@@ -105,15 +106,14 @@ GuestMemory::materializePage(u64 page) const
                          MutByteSpan(dst, kPageSize),
                          spa_base_ + page * kPageSize);
     }
-    // Plain counter, not an obs metric: this runs on TCB-reachable read
-    // paths (see cowMaterializedCount()).
+    // Plain counter, not an obs metric (see cowMaterializedCount()).
     ++cow_materialized_;
 }
 
 void
 GuestMemory::materializeRange(Gpa gpa, u64 len) const
 {
-    if (cow_.empty() || len == 0) {
+    if (cow_index_.empty() || len == 0) {
         return;
     }
     u64 first = gpa / kPageSize;
@@ -126,9 +126,29 @@ GuestMemory::materializeRange(Gpa gpa, u64 len) const
 void
 GuestMemory::materializeAll() const
 {
-    while (!cow_.empty()) {
-        materializePage(cow_.begin()->first);
+    for (const CowView &v : cow_views_) {
+        materializeRange(v.first_page * kPageSize, v.pages * kPageSize);
     }
+    // Every page is plain DRAM now: drop the segment references.
+    cow_views_ = std::vector<CowView>();
+    cow_index_ = std::vector<u32>();
+}
+
+Status
+GuestMemory::checkCowView(Gpa gpa, u64 len) const
+{
+    SEVF_RETURN_IF_ERROR(checkRange(gpa, len));
+    if (gpa % kPageSize != 0) {
+        return errInvalidArgument("CoW mapping not page aligned");
+    }
+    if (!cow_index_.empty()) {
+        auto first = cow_index_.begin() + gpa / kPageSize;
+        auto last = first + pagesFor(len);
+        if (std::any_of(first, last, [](u32 view) { return view != 0; })) {
+            return errInvalidArgument("CoW mapping overlaps a pending view");
+        }
+    }
+    return Status::ok();
 }
 
 Status
@@ -138,17 +158,19 @@ GuestMemory::mapCowPages(Gpa gpa, std::shared_ptr<const ByteVec> data,
     if (!data || data->empty()) {
         return Status::ok();
     }
-    SEVF_RETURN_IF_ERROR(checkRange(gpa, data->size()));
-    if (gpa % kPageSize != 0) {
-        return errInvalidArgument("CoW mapping not page aligned");
+    SEVF_RETURN_IF_ERROR(checkCowView(gpa, data->size()));
+    if (cow_views_.size() >= std::numeric_limits<u32>::max()) {
+        return errResourceExhausted("CoW view numbers exhausted");
     }
+    u64 first = gpa / kPageSize;
     u64 pages = pagesFor(data->size());
-    for (u64 i = 0; i < pages; ++i) {
-        u64 off = i * kPageSize;
-        u32 take =
-            static_cast<u32>(std::min<u64>(kPageSize, data->size() - off));
-        cow_[gpa / kPageSize + i] = CowSource{data, off, take, encrypted};
+    if (cow_index_.empty()) {
+        cow_index_.assign(pagesFor(bytes_.size()), 0);
     }
+    cow_views_.push_back(CowView{first, pages, std::move(data), encrypted});
+    std::fill_n(cow_index_.begin() + first, pages,
+                static_cast<u32>(cow_views_.size()));
+    cow_mapped_ += pages;
     // Mapping is counted here. Materialization is counted once per
     // launch by core/strategies.cc instead, because it runs on
     // TCB-reachable read paths that must make no obs calls
@@ -247,28 +269,60 @@ GuestMemory::captureSnapshot(const std::vector<GpaRange> &exclude) const
 }
 
 Status
-GuestMemory::instantiateSnapshot(const MemorySnapshot &snap)
+GuestMemory::checkSnapshot(const MemorySnapshot &snap) const
 {
-    SEVF_SPAN("guest_memory.instantiate_snapshot", "bytes", snap.byteSize());
     if (snap.memory_size != bytes_.size()) {
         return errInvalidArgument("snapshot memory size mismatch");
     }
+    std::vector<GpaRange> spans;
     for (const SnapshotSegment &seg : snap.segments) {
+        if (!seg.bytes || seg.bytes->empty()) {
+            continue; // maps nothing (mapCowPages)
+        }
         if (seg.encrypted && !sevEnabled()) {
             return errInvalidState(
                 "encrypted snapshot segment without an attached VEK");
         }
+        SEVF_RETURN_IF_ERROR(checkCowView(seg.gpa, seg.bytes->size()));
+        spans.push_back(GpaRange{
+            seg.gpa, seg.gpa + alignUp(seg.bytes->size(), kPageSize)});
+    }
+    std::sort(spans.begin(), spans.end(),
+              [](const GpaRange &a, const GpaRange &b) {
+                  return a.begin < b.begin;
+              });
+    for (std::size_t i = 1; i < spans.size(); ++i) {
+        if (spans[i].begin < spans[i - 1].end) {
+            return errInvalidArgument("snapshot segments overlap");
+        }
+    }
+    for (const GpaRange &r : snap.validated) {
+        if (r.end < r.begin || r.begin % kPageSize != 0 ||
+            r.end % kPageSize != 0 || r.end > bytes_.size()) {
+            return errInvalidArgument(
+                "snapshot validated range inverted, unaligned or past "
+                "the RMP");
+        }
+    }
+    return Status::ok();
+}
+
+Status
+GuestMemory::instantiateSnapshot(const MemorySnapshot &snap)
+{
+    SEVF_SPAN("guest_memory.instantiate_snapshot", "bytes", snap.byteSize());
+    SEVF_RETURN_IF_ERROR(checkSnapshot(snap));
+    for (const SnapshotSegment &seg : snap.segments) {
         SEVF_RETURN_IF_ERROR(mapCowPages(seg.gpa, seg.bytes, seg.encrypted));
-        if (seg.encrypted) {
+        if (seg.encrypted && seg.bytes) {
             joinPageLabels(seg.gpa, seg.bytes->size(), taint::kGuestData);
         }
     }
     if (integrityEnforced()) {
         for (const GpaRange &r : snap.validated) {
-            for (Gpa page = r.begin; page < r.end; page += kPageSize) {
-                SEVF_RETURN_IF_ERROR(
-                    rmp_.pspAssignValidated(spaOf(page), asid_, page));
-            }
+            SEVF_RETURN_IF_ERROR(rmp_.pspAssignValidated(
+                spaOf(r.begin), asid_, r.begin,
+                (r.end - r.begin) / kPageSize));
         }
     }
     return Status::ok();
@@ -475,10 +529,8 @@ GuestMemory::pspEncryptInPlace(Gpa gpa, u64 len)
     MutByteSpan region(bytes_.data() + gpa, whole);
     engine_->encrypt(region, region, spa_base_ + gpa);
     if (integrityEnforced()) {
-        for (Gpa page = gpa; page < gpa + whole; page += kPageSize) {
-            SEVF_RETURN_IF_ERROR(
-                rmp_.pspAssignValidated(spaOf(page), asid_, page));
-        }
+        SEVF_RETURN_IF_ERROR(rmp_.pspAssignValidated(spaOf(gpa), asid_, gpa,
+                                                     whole / kPageSize));
     }
     return Status::ok();
 }

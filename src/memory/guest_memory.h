@@ -14,8 +14,6 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
-
 #include <vector>
 
 #include "base/status.h"
@@ -169,20 +167,22 @@ class GuestMemory
     // ---- Copy-on-write template instantiation (src/cache) ----
 
     /**
-     * Map @p data as a copy-on-write view of the pages starting at the
+     * Map @p data as one copy-on-write view of the pages starting at the
      * page-aligned @p gpa: no bytes are copied until a page is first
      * touched by any accessor. With @p encrypted set, materialization
      * additionally encrypts the page with this VM's key at its SPA
      * (requires an attached encryption context by first touch), which
-     * is how cached plaintext becomes per-VM ciphertext. Bookkeeping
-     * only — RMP state and taint labels are the caller's job
-     * (instantiateSnapshot does both).
+     * is how cached plaintext becomes per-VM ciphertext. A view that
+     * leaves guest memory, starts mid-page or overlaps a page still
+     * pending on another view fails with kInvalidArgument and maps
+     * nothing. Bookkeeping only — RMP state and taint labels are the
+     * caller's job (instantiateSnapshot does both).
      */
     Status mapCowPages(Gpa gpa, std::shared_ptr<const ByteVec> data,
                        bool encrypted);
 
     /** Outstanding (not yet materialized) copy-on-write pages. */
-    u64 cowPageCount() const { return cow_.size(); }
+    u64 cowPageCount() const { return cow_mapped_ - cow_materialized_; }
 
     /**
      * Copy-on-write pages materialized so far. A plain counter, not a
@@ -205,10 +205,15 @@ class GuestMemory
 
     /**
      * Instantiate a captured image into this (freshly launched) VM:
-     * maps every segment copy-on-write, labels encrypted segments
-     * kGuestData, and replays the captured validated ranges into the
-     * RMP via pspAssignValidated. Requires an attached encryption
-     * context and matching memory size.
+     * maps each segment as one copy-on-write view, labels encrypted
+     * segments kGuestData, and replays each captured validated range
+     * into the RMP with one pspAssignValidated call. Requires an
+     * attached encryption context and matching memory size. The whole
+     * snapshot is checked first (a template file is host-supplied): a
+     * segment that overlaps another or a pending view, starts mid-page
+     * or leaves guest memory, or a validated range that is inverted,
+     * unaligned or past the end, fails with kInvalidArgument before any
+     * view or RMP entry changes.
      */
     Status instantiateSnapshot(const MemorySnapshot &snap);
 
@@ -227,15 +232,23 @@ class GuestMemory
     void joinPageLabels(Gpa gpa, u64 len, taint::TaintSet labels);
 
   private:
-    /** Backing for one copy-on-write page (a window into shared bytes). */
-    struct CowSource {
+    /**
+     * One copy-on-write view (a mapCowPages call): guest pages
+     * [first_page, first_page + pages) read from *data, the last one
+     * zero-padded when data ends mid-page.
+     */
+    struct CowView {
+        u64 first_page = 0;
+        u64 pages = 0;
         std::shared_ptr<const ByteVec> data;
-        u64 offset = 0;   //!< byte offset of this page inside *data
-        u32 len = 0;      //!< bytes available (tail pages zero-pad)
         bool encrypted = false;
     };
 
     Status checkRange(Gpa gpa, u64 len) const;
+    /** mapCowPages' checks: in range, page aligned, no pending page. */
+    Status checkCowView(Gpa gpa, u64 len) const;
+    /** instantiateSnapshot's checks, made before anything changes. */
+    Status checkSnapshot(const MemorySnapshot &snap) const;
     /** RMP guest-access check for every page the range touches. */
     Status checkGuestRange(Gpa gpa, u64 len) const;
     /** Copy (and for encrypted views, encrypt) one CoW page into DRAM. */
@@ -255,7 +268,14 @@ class GuestMemory
      */
     mutable DramBuffer dram_;
     mutable MutByteSpan bytes_;
-    mutable std::unordered_map<u64, CowSource> cow_;
+    mutable std::vector<CowView> cow_views_;
+    /**
+     * Per guest page: 1 + the cow_views_ index of the view the page is
+     * still pending on, or 0. Empty until the first mapCowPages, so a
+     * cold VM pays nothing; mapCowPages refuses a view past u32.
+     */
+    mutable std::vector<u32> cow_index_;
+    u64 cow_mapped_ = 0;
     mutable u64 cow_materialized_ = 0;
     Spa spa_base_;
     u32 asid_;

@@ -55,17 +55,23 @@ Rmp::setImmutable(Spa spa)
 }
 
 Status
-Rmp::pspAssignValidated(Spa spa, u32 asid, Gpa gpa)
+Rmp::pspAssignValidated(Spa spa, u32 asid, Gpa gpa, u64 pages)
 {
-    Result<std::size_t> idx = indexFor(spa);
-    if (!idx.isOk()) {
-        return idx.status();
+    if (spa % kPageSize != 0 || gpa % kPageSize != 0) {
+        return errInvalidArgument("RMP range not page aligned");
     }
-    RmpEntry &e = entries_[*idx];
-    e.assigned = true;
-    e.asid = asid;
-    e.gpa = gpa;
-    e.validated = true;
+    // A spa below the base wraps to an index past the end.
+    u64 first = (spa - spa_base_) / kPageSize;
+    if (first > entries_.size() || pages > entries_.size() - first) {
+        return errInvalidArgument("RMP range outside coverage");
+    }
+    for (u64 i = 0; i < pages; ++i) {
+        RmpEntry &e = entries_[first + i];
+        e.assigned = true;
+        e.asid = asid;
+        e.gpa = gpa + i * kPageSize;
+        e.validated = true;
+    }
     return Status::ok();
 }
 

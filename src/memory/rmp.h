@@ -56,10 +56,13 @@ class Rmp
     Status setImmutable(Spa spa);
 
     /**
-     * PSP operation during LAUNCH_UPDATE_DATA: pre-encrypted pages enter
-     * the guest already assigned and validated.
+     * PSP operation during LAUNCH_UPDATE_DATA (and a template restore):
+     * the @p pages pre-encrypted pages from @p spa enter the guest
+     * already assigned and validated, backing @p gpa onward. The whole
+     * range is checked first: one that is unaligned or runs past the
+     * RMP fails with kInvalidArgument before any entry changes.
      */
-    Status pspAssignValidated(Spa spa, u32 asid, Gpa gpa);
+    Status pspAssignValidated(Spa spa, u32 asid, Gpa gpa, u64 pages);
 
     /**
      * Guest pvalidate. Fails with kAccessDenied (#VC at the access site)

@@ -114,7 +114,7 @@ CostModel::decompressCost(compress::CodecKind kind,
 }
 
 Duration
-CostModel::pvalidate(u64 mem_bytes, bool hugepages) const
+CostModel::pvalidateSweep(u64 mem_bytes, bool hugepages) const
 {
     if (hugepages) {
         u64 pages = pagesFor(mem_bytes, kHugePageSize);

@@ -58,7 +58,7 @@ class CostModel
     Duration decompressCost(compress::CodecKind kind,
                             u64 decompressed_bytes) const;
     /** pvalidate sweep over @p mem_bytes of guest memory. */
-    Duration pvalidate(u64 mem_bytes, bool hugepages) const;
+    Duration pvalidateSweep(u64 mem_bytes, bool hugepages) const;
     Duration pageTableInit() const;
     Duration verifierFixed() const;
     Duration bootstrapFixed() const;

@@ -189,8 +189,8 @@ TEST_F(CalibrationTest, PvalidateHugepageClaim)
 {
     // §6.1: hugepages take pvalidate from >60ms to <1ms for 256MiB.
     const sim::CostModel &cost = platform_.cost();
-    EXPECT_GT(cost.pvalidate(256 * kMiB, false).toMsF(), 55.0);
-    EXPECT_LT(cost.pvalidate(256 * kMiB, true).toMsF(), 1.0);
+    EXPECT_GT(cost.pvalidateSweep(256 * kMiB, false).toMsF(), 55.0);
+    EXPECT_LT(cost.pvalidateSweep(256 * kMiB, true).toMsF(), 1.0);
 }
 
 } // namespace

@@ -104,11 +104,61 @@ TEST_F(RmpTest, OutOfRangeSpaRejected)
 TEST_F(RmpTest, ValidatedCount)
 {
     EXPECT_EQ(rmp_.validatedCount(), 0u);
-    ASSERT_TRUE(rmp_.pspAssignValidated(kSpaBase, kAsid, 0).isOk());
+    ASSERT_TRUE(rmp_.pspAssignValidated(kSpaBase, kAsid, 0, 1).isOk());
     ASSERT_TRUE(
-        rmp_.pspAssignValidated(kSpaBase + kPageSize, kAsid, kPageSize)
+        rmp_.pspAssignValidated(kSpaBase + kPageSize, kAsid, kPageSize, 2)
             .isOk());
-    EXPECT_EQ(rmp_.validatedCount(), 2u);
+    EXPECT_EQ(rmp_.validatedCount(), 3u);
+}
+
+TEST_F(RmpTest, AssignValidatedRangeSetsEveryEntry)
+{
+    ASSERT_TRUE(rmp_.pspAssignValidated(kSpaBase + 4 * kPageSize, kAsid,
+                                        0x10000, 12)
+                    .isOk());
+    for (u64 i = 0; i < 16; ++i) {
+        const RmpEntry &e = rmp_.entryAt(kSpaBase + i * kPageSize);
+        EXPECT_EQ(e.assigned, i >= 4) << i;
+        EXPECT_EQ(e.validated, i >= 4) << i;
+        if (i >= 4) {
+            EXPECT_EQ(e.asid, kAsid);
+            EXPECT_EQ(e.gpa, 0x10000 + (i - 4) * kPageSize);
+            EXPECT_TRUE(rmp_.checkGuestAccess(kSpaBase + i * kPageSize,
+                                              kAsid, e.gpa)
+                            .isOk());
+        }
+    }
+    // An empty range ending at the last entry is fine.
+    EXPECT_TRUE(
+        rmp_.pspAssignValidated(kSpaBase + 16 * kPageSize, kAsid, 0, 0)
+            .isOk());
+}
+
+TEST_F(RmpTest, BadAssignValidatedRangeChangesNoEntry)
+{
+    struct Case {
+        const char *what;
+        Spa spa;
+        Gpa gpa;
+        u64 pages;
+    };
+    const Case kCases[] = {
+        {"past the end", kSpaBase + 10 * kPageSize, 0, 7},
+        {"starts past the end", kSpaBase + 17 * kPageSize, 0, 0},
+        {"below the base", kSpaBase - kPageSize, 0, 2},
+        {"page count wraps", kSpaBase + kPageSize, 0, ~u64{0}},
+        {"unaligned spa", kSpaBase + 8, 0, 1},
+        {"unaligned gpa", kSpaBase, 8, 1},
+    };
+    for (const Case &c : kCases) {
+        SCOPED_TRACE(c.what);
+        Status st = rmp_.pspAssignValidated(c.spa, kAsid, c.gpa, c.pages);
+        EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument);
+        EXPECT_EQ(rmp_.validatedCount(), 0u);
+        for (u64 i = 0; i < 16; ++i) {
+            EXPECT_FALSE(rmp_.entryAt(kSpaBase + i * kPageSize).assigned);
+        }
+    }
 }
 
 // ------------------------------------------------------- guest memory

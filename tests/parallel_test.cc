@@ -40,6 +40,46 @@ TEST(ThreadPool, CoversRangeExactlyOnce)
     }
 }
 
+TEST(ThreadPool, BackToBackJobsEachCoverTheirOwnRange)
+{
+    // A worker woken for one job may reach the chunk loop only after the
+    // caller finished that job alone and published the next one. It
+    // must then claim nothing: a chunk cut with the previous job's grain
+    // or end, or run past this job's range, shows up below. Run under
+    // -DSEVF_SANITIZE=thread to see a descriptor read race directly.
+    constexpr u64 kJobs = 20000;
+    constexpr u64 kMaxEnd = 97;
+    base::ThreadPool pool(4);
+    std::vector<std::atomic<u32>> hits(kMaxEnd);
+    u64 bad_jobs = 0;
+    for (u64 job = 0; job < kJobs; ++job) {
+        const u64 begin = job % 3;
+        const u64 end = begin + 8 + (job * 7919) % (kMaxEnd - 10);
+        const u64 grain = 1 + job % 4;
+        std::atomic<u64> bad_chunks{0};
+        for (auto &h : hits) {
+            h.store(0, std::memory_order_relaxed);
+        }
+        pool.parallelFor(begin, end, grain, [&](u64 lo, u64 hi) {
+            // Chunk boundaries depend only on (begin, end, grain).
+            if (lo < begin || hi > end || hi <= lo || (lo - begin) % grain ||
+                hi != std::min(lo + grain, end)) {
+                bad_chunks.fetch_add(1);
+                return;
+            }
+            for (u64 i = lo; i < hi; ++i) {
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+        bool ok = bad_chunks.load() == 0;
+        for (u64 i = 0; i < kMaxEnd; ++i) {
+            ok = ok && hits[i].load() == (i >= begin && i < end ? 1u : 0u);
+        }
+        bad_jobs += ok ? 0 : 1;
+    }
+    EXPECT_EQ(bad_jobs, 0u);
+}
+
 TEST(ThreadPool, EmptyRangeRunsNothing)
 {
     base::ThreadPool pool(4);

@@ -182,7 +182,7 @@ TEST(RmpInvariants, RandomOpSequencesKeepExclusivity)
             (void)rmp.pvalidate(spa, asid, gpa, true);
             break;
           case 3:
-            (void)rmp.pspAssignValidated(spa, asid, gpa);
+            (void)rmp.pspAssignValidated(spa, asid, gpa, 1);
             break;
         }
 

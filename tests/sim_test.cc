@@ -127,8 +127,8 @@ TEST_F(CostModelTest, PreEncryptionCalibrationPoints)
 TEST_F(CostModelTest, PvalidateHugepagesVsBasePages)
 {
     // §6.1: 256 MiB guest: >60 ms with 4K pages, <1 ms with hugepages.
-    Duration base = model_.pvalidate(256 * kMiB, /*hugepages=*/false);
-    Duration huge = model_.pvalidate(256 * kMiB, /*hugepages=*/true);
+    Duration base = model_.pvalidateSweep(256 * kMiB, /*hugepages=*/false);
+    Duration huge = model_.pvalidateSweep(256 * kMiB, /*hugepages=*/true);
     EXPECT_GT(base.toMsF(), 55.0);
     EXPECT_LT(huge.toMsF(), 1.0);
 }

@@ -63,6 +63,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iterator>
+#include <locale>
 #include <map>
 #include <optional>
 #include <regex>
@@ -3382,6 +3383,14 @@ runLint(const Options &opts)
     std::sort(paths.begin(), paths.end());
     std::vector<FileModel> files(paths.size());
 
+    // std::regex compiles through std::ctype<char>::narrow, whose
+    // per-character cache libstdc++ fills lazily and without a lock.
+    // The workers below build function-local regex statics at the same
+    // time, so fill the cache once here, before the pool starts.
+    const auto &ctype = std::use_facet<std::ctype<char>>(std::locale());
+    for (int c = 0; c < 256; ++c) {
+        (void)ctype.narrow(static_cast<char>(c), '\0');
+    }
     unsigned jobs = opts.jobs == 0 ? base::hardwareThreads() : opts.jobs;
     jobs = std::max<u64>(
         1, std::min<u64>(jobs, paths.empty() ? 1 : paths.size()));

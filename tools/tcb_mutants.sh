@@ -16,7 +16,10 @@
 #      memory/dram - tcb-reach must flag it (the root of trust never
 #      manages host mappings);
 #   D  as A, through gzip-lite's decode-into entry point
-#      (decompressInto) instead of decompress.
+#      (decompressInto) instead of decompress;
+#   E  as A, planted in Rmp::pvalidate, which the verifier's
+#      validation sweep calls through a chained receiver
+#      (mem_.rmp().pvalidate): the audit must resolve that call.
 #
 # A clean baseline run over the unmutated copy guards against
 # environmental noise being mistaken for detection.
@@ -97,5 +100,12 @@ sed -i 's/    VerifiedBoot out;/    VerifiedBoot out;\
     gz.decompressInto(ByteSpan(), MutByteSpan());/' \
     "$tmp/src/verifier/boot_verifier.cc"
 expect_rule D tcb-reach
+
+# Mutant E: the RMP's pvalidate reaches the DEFLATE stack.
+fresh_copy
+sed -i '/^Rmp::pvalidate(/,/^}/ s/    RmpEntry &e = entries_\[\*idx\];/&\
+    compress::GzipLiteCodec gz = compress::GzipLiteCodec();\
+    gz.decompress(ByteSpan());/' "$tmp/src/memory/rmp.cc"
+expect_rule E tcb-reach
 
 echo "tcb_mutants: all mutants caught"
