@@ -1,7 +1,7 @@
 /**
  * @file
  * Quickstart: cold-boot one SEV-SNP microVM with SEVeriFast and print
- * the debug-port timeline and phase breakdown.
+ * its boot timeline (the §6.1 debug-port markers) and phase breakdown.
  *
  *   $ ./build/examples/quickstart
  *
@@ -15,6 +15,7 @@
 
 #include "base/bytes.h"
 #include "core/launch.h"
+#include "core/report.h"
 #include "stats/table.h"
 #include "workload/synthetic.h"
 
@@ -39,8 +40,8 @@ main()
         return 1;
     }
 
-    std::printf("--- debug port timeline ---\n%s\n",
-                result->timeline.render().c_str());
+    std::printf("--- boot timeline ---\n%s\n",
+                core::renderTimeline(result->trace).c_str());
 
     stats::Table phases({"phase", "time"});
     for (const std::string &phase : result->trace.phases()) {

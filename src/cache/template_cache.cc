@@ -22,8 +22,7 @@ LaunchTemplate::byteSize() const
     }
     total += snapshot.byteSize();
     for (const sim::Step &step : steps) {
-        total += sizeof(sim::Step) + step.phase.size() + step.label.size() +
-                 step.annotation.size();
+        total += sizeof(sim::Step) + step.phase.size() + step.label.size();
     }
     return total;
 }

@@ -75,13 +75,11 @@ struct TemplateVerifierStats {
 struct LaunchTemplate {
     /** Regions for the premeasured launch flow, in cold-boot order. */
     std::vector<TemplateRegion> plan;
-    /** Memory image captured just before the guest tail ran. */
+    /** Memory image at the template point, where only the guest tail
+     *  remains (core/launch.h). */
     memory::MemorySnapshot snapshot;
-    /** Virtual-time steps of the cold boot up to the capture point. */
+    /** Virtual-time steps of the cold boot up to the template point. */
     std::vector<sim::Step> steps;
-    /** True when @p steps already include the guest tail (capture at
-     *  end of boot; the non-SEV stock path). */
-    bool tail_in_steps = false;
     crypto::Sha256Digest measurement{};
     u64 pre_encrypted_bytes = 0;
     TemplateVerifierStats verifier;

@@ -11,7 +11,7 @@ namespace sevf::cache {
 namespace {
 
 /** Magic doubles as the format version; bump the digit on change. */
-constexpr std::string_view kMagic = "SEVFTMP2";
+constexpr std::string_view kMagic = "SEVFTMP3";
 
 /** Whole-file integrity trailer: SHA-256 of everything before it. */
 constexpr u64 kTrailerSize = 32;
@@ -83,7 +83,6 @@ serializeTemplate(const LaunchTemplate &tmpl)
     w.str(kMagic);
     writeDigest(w, tmpl.measurement);
     w.u64le(tmpl.pre_encrypted_bytes);
-    w.u8le(tmpl.tail_in_steps ? 1 : 0);
     w.u64le(tmpl.verifier.pages_validated);
     w.u64le(tmpl.verifier.bytes_copied);
     w.u64le(tmpl.verifier.bytes_hashed);
@@ -119,7 +118,6 @@ serializeTemplate(const LaunchTemplate &tmpl)
         w.u64le(static_cast<u64>(step.duration.ns()));
         writeString32(w, step.phase);
         writeString32(w, step.label);
-        writeString32(w, step.annotation);
     }
 
     // Integrity trailer: digest of the whole body, so ANY corruption of
@@ -155,15 +153,13 @@ deserializeTemplate(ByteSpan data)
     LaunchTemplate tmpl;
     SEVF_ASSIGN_OR_RETURN(tmpl.measurement, readDigest(r));
     SEVF_ASSIGN_OR_RETURN(tmpl.pre_encrypted_bytes, r.u64le());
-    SEVF_ASSIGN_OR_RETURN(u8 tail, r.u8le());
-    tmpl.tail_in_steps = tail != 0;
     SEVF_ASSIGN_OR_RETURN(tmpl.verifier.pages_validated, r.u64le());
     SEVF_ASSIGN_OR_RETURN(tmpl.verifier.bytes_copied, r.u64le());
     SEVF_ASSIGN_OR_RETURN(tmpl.verifier.bytes_hashed, r.u64le());
     SEVF_ASSIGN_OR_RETURN(tmpl.verifier.pagetable_bytes, r.u64le());
 
     // Smallest encodings: region = name len, gpa, plaintext len, digest
-    // count; segment = gpa, flag, len; step = kind, ns, 3 string lens.
+    // count; segment = gpa, flag, len; step = kind, ns, 2 string lens.
     SEVF_ASSIGN_OR_RETURN(u32 plan_count, readCount(r, 4 + 8 + 8 + 4, "plan"));
     tmpl.plan.reserve(plan_count);
     for (u32 i = 0; i < plan_count; ++i) {
@@ -204,7 +200,7 @@ deserializeTemplate(ByteSpan data)
     }
 
     SEVF_ASSIGN_OR_RETURN(u32 step_count,
-                          readCount(r, 1 + 8 + 3 * 4, "step"));
+                          readCount(r, 1 + 8 + 2 * 4, "step"));
     tmpl.steps.reserve(step_count);
     for (u32 i = 0; i < step_count; ++i) {
         sim::Step step;
@@ -217,7 +213,6 @@ deserializeTemplate(ByteSpan data)
         step.duration = sim::Duration(static_cast<i64>(ns));
         SEVF_ASSIGN_OR_RETURN(step.phase, readString32(r));
         SEVF_ASSIGN_OR_RETURN(step.label, readString32(r));
-        SEVF_ASSIGN_OR_RETURN(step.annotation, readString32(r));
         tmpl.steps.push_back(std::move(step));
     }
     if (!r.atEnd()) {

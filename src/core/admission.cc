@@ -303,11 +303,8 @@ AdmissionPipeline::workerLoop()
                                                job.submit_ns);
         }
 
-        // One strategy instance per launch: the template-capture state
-        // inside BootStrategy is per-launch (launch.h).
-        std::unique_ptr<BootStrategy> strategy = makeStrategy(job.kind);
         Result<LaunchResult> result =
-            strategy->launch(platform_, job.request);
+            makeStrategy(job.kind)->launch(platform_, job.request);
 
         // Stay active until AFTER resolving: drain() must not return
         // with a ticket still pending.

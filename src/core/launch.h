@@ -2,7 +2,7 @@
  * @file
  * The SEVeriFast public API: boot strategies and launch results.
  *
- * A BootStrategy runs one cold boot end to end - functionally (real
+ * A BootStrategy runs one boot end to end - functionally (real
  * staging, pre-encryption, verification, decompression, attestation)
  * while charging virtual time into a BootTrace. Five strategies cover
  * the paper's comparison space:
@@ -18,17 +18,10 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
-// Forward declarations to keep the header light.
+// Forward declaration to keep the header light.
 namespace sevf::vmm {
 class MicroVm;
-}
-namespace sevf::attest {
-struct PreEncryptedRegion;
-}
-namespace sevf::cache {
-struct LaunchTemplate;
 }
 
 #include "cache/launch_key.h"
@@ -38,7 +31,6 @@ struct LaunchTemplate;
 #include "crypto/sha256.h"
 #include "sim/trace.h"
 #include "verifier/boot_verifier.h"
-#include "vmm/debug_port.h"
 #include "vmm/vm_config.h"
 #include "workload/kernel_spec.h"
 
@@ -57,7 +49,8 @@ const char *strategyName(StrategyKind kind);
 /** Everything a launch needs. */
 struct LaunchRequest {
     workload::KernelConfig kernel = workload::KernelConfig::kAws;
-    /** Artifact scale: 1.0 for paper-sized benches, smaller for tests. */
+    /** Artifact scale in (0, 1]: 1.0 for paper-sized benches, smaller
+     *  for tests. */
     double scale = 1.0;
     vmm::VmConfig vm;
     /** Run remote attestation after boot (skipped automatically for
@@ -105,20 +98,22 @@ struct LaunchRequest {
      * parsing, compression, hashing, and pre-encryption entirely and
      * replays the recorded measurement chain instead (cache/). The
      * result is bit-identical to a cold boot - same measurement, same
-     * BootTrace, same timeline; only host wall-clock changes. Launches
-     * with guest_kaslr set always boot cold (the slide is per-launch
-     * entropy by design).
+     * BootTrace; only host wall-clock changes. Launches with
+     * guest_kaslr set always boot cold (the slide is per-launch entropy
+     * by design).
      */
     bool use_template_cache = true;
 };
 
-/** Outcome of one cold boot. */
+/** Outcome of one boot. */
 struct LaunchResult {
     StrategyKind strategy;
-    /** Unjittered virtual-time steps; see sim::jitterTrace for CDFs. */
+    /**
+     * Unjittered virtual-time steps; see sim::jitterTrace for CDFs.
+     * Each step's end time is a §6.1 debug-port marker
+     * (renderTimeline in core/report.h).
+     */
     sim::BootTrace trace;
-    /** Debug-port timeline (§6.1 methodology). */
-    vmm::DebugPort timeline;
 
     /** Launch digest (SEV strategies). */
     crypto::Sha256Digest measurement{};
@@ -141,67 +136,39 @@ struct LaunchResult {
     sim::Duration totalTime() const { return trace.total(); }
 };
 
-class TraceBuilder;
+/**
+ * Check a request before any launch state exists: artifact scale in
+ * (0, 1] and 1 to vmm::kMaxMptableVcpus vCPUs (the MP table numbers
+ * CPUs and the IO-APIC with 8-bit ids). kInvalidArgument otherwise.
+ */
+Status checkLaunchRequest(const LaunchRequest &request);
 
 /**
- * A boot scheme. One instance serves one launch at a time: launch()
- * keeps per-launch template-capture state in the strategy object, so
- * concurrent launches must each use their own instance (the admission
- * pipeline constructs one per request).
+ * A boot scheme. Every launch has one shape (§4, Fig 2): the strategy
+ * stages, pre-encrypts, verifies and loads up to the template point,
+ * where only the guest tail (Linux boot, init, attestation) remains.
+ * launch() captures a template at that point when it holds the cache's
+ * single-flight claim, or starts there from a cached template, and
+ * finishes every launch with the one tail. The object holds only its
+ * kind, so one instance may serve any number of concurrent launches.
  */
 class BootStrategy
 {
   public:
-    virtual ~BootStrategy() = default;
-
-    BootStrategy() = default;
-    BootStrategy(const BootStrategy &) = delete;
-    BootStrategy &operator=(const BootStrategy &) = delete;
-
-    virtual StrategyKind kind() const = 0;
-    std::string_view name() const { return strategyName(kind()); }
+    explicit BootStrategy(StrategyKind kind) : kind_(kind) {}
 
     /**
-     * Run one boot. Installs the request's host-thread count for the
-     * launch, consults the platform's template cache (warm boot on a
-     * hit, single-flight template capture on a miss), then runs the
-     * strategy cold if no usable template exists.
+     * Run one boot. Refuses a request checkLaunchRequest rejects,
+     * installs the request's host-thread count for the launch, consults
+     * the platform's template cache (warm boot on a hit, single-flight
+     * template capture on a miss), then runs the strategy cold if no
+     * usable template exists.
      */
     Result<LaunchResult> launch(Platform &platform,
-                                const LaunchRequest &request);
-
-  protected:
-    /** Strategy body; runs with the host-thread knob already set. */
-    virtual Result<LaunchResult> doLaunch(Platform &platform,
-                                          const LaunchRequest &request) = 0;
-
-    /**
-     * Capture hook, called by each strategy at the template point: the
-     * instant where all host-side launch work (staging, pre-encryption,
-     * measurement, verifier, bootstrap) is done and only the guest boot
-     * tail remains. No-op unless launch() claimed a single-flight
-     * template build for this launch. @p tail_in_steps marks strategies
-     * whose trace already includes the tail at the capture point (the
-     * non-SEV baseline); warm boots then skip the live tail.
-     */
-    void maybeCaptureTemplate(
-        const LaunchRequest &request, vmm::MicroVm &vm,
-        const TraceBuilder &tb,
-        const std::vector<attest::PreEncryptedRegion> &plan,
-        const LaunchResult &result, bool tail_in_steps);
+                                const LaunchRequest &request) const;
 
   private:
-    /** Warm boot from a cached template (strategies.cc). */
-    Result<LaunchResult> launchFromTemplate(Platform &platform,
-                                            const LaunchRequest &request,
-                                            const cache::LaunchTemplate &t);
-
-    /** Single-flight build claim for the launch currently running. */
-    struct TemplateClaim {
-        bool armed = false;
-        std::shared_ptr<cache::LaunchTemplate> built;
-    };
-    TemplateClaim claim_;
+    StrategyKind kind_;
 };
 
 /**

@@ -1,5 +1,7 @@
 #include "core/report.h"
 
+#include <cstdio>
+
 #include "base/bytes.h"
 #include "base/json.h"
 
@@ -51,6 +53,21 @@ launchResultToJson(const LaunchResult &result, bool include_steps)
 
     json.endObject();
     return json.take();
+}
+
+std::string
+renderTimeline(const sim::BootTrace &trace)
+{
+    std::string out;
+    sim::TimePoint now;
+    for (const sim::Step &step : trace.steps()) {
+        now += step.duration;
+        char line[160];
+        std::snprintf(line, sizeof(line), "[%10.3fms] %s\n", now.toMsF(),
+                      step.label.c_str());
+        out += line;
+    }
+    return out;
 }
 
 } // namespace sevf::core

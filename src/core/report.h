@@ -2,7 +2,8 @@
  * @file
  * Launch-report export: serialize a LaunchResult (phases, steps,
  * measurement, attestation outcome) to JSON for external plotting -
- * the counterpart of the paper artifact's severifast/data directory.
+ * the counterpart of the paper artifact's severifast/data directory -
+ * or render its boot timeline as text.
  */
 #ifndef SEVF_CORE_REPORT_H_
 #define SEVF_CORE_REPORT_H_
@@ -21,6 +22,12 @@ namespace sevf::core {
  */
 std::string launchResultToJson(const LaunchResult &result,
                                bool include_steps = true);
+
+/**
+ * The §6.1 debug-port timeline of @p trace: one "[    4.000ms] label"
+ * line per step, stamped with the step's virtual end time.
+ */
+std::string renderTimeline(const sim::BootTrace &trace);
 
 } // namespace sevf::core
 

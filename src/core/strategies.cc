@@ -1,13 +1,18 @@
 /**
  * @file
- * The five BootStrategy implementations (see core/launch.h). Each runs
- * the boot *functionally* - real bytes staged, measured, encrypted,
- * verified, decompressed, attested - while charging calibrated virtual
- * time into the BootTrace with the paper's phase labels.
+ * The five boot strategies (see core/launch.h) and the one launch
+ * pipeline they share. Each strategy is a prepare function that runs
+ * its boot *functionally* - real bytes staged, measured, encrypted,
+ * verified, decompressed - up to the template point, charging
+ * calibrated virtual time into the BootTrace with the paper's phase
+ * labels. BootStrategy::launch captures a template there when it holds
+ * the single-flight claim, then runs the one guest tail for cold and
+ * warm launches alike.
  */
 #include "core/launch.h"
 
 #include <memory>
+#include <optional>
 
 #include "attest/expected_measurement.h"
 #include "attest/guest_owner.h"
@@ -30,6 +35,7 @@
 #include "vmm/fw_cfg.h"
 #include "vmm/layout.h"
 #include "vmm/microvm.h"
+#include "vmm/mptable.h"
 #include "workload/synthetic.h"
 
 namespace sevf::core {
@@ -47,6 +53,37 @@ using sim::phase::kVmm;
 
 /** Private destination for the attestation secret. */
 constexpr Gpa kSecretGpa = 0x280000;
+
+/**
+ * A launch stopped at the template point: all host-side work (staging,
+ * pre-encryption, measurement) and the in-guest verifier and loader are
+ * done, and only the guest tail remains. A cold launch gets here through
+ * its strategy's prepare function, a warm one by restoring a template.
+ */
+struct PreparedLaunch {
+    explicit PreparedLaunch(StrategyKind kind) { result.strategy = kind; }
+
+    std::shared_ptr<vmm::MicroVm> vm;
+    psp::GuestHandle handle = 0;
+    /** The regions the PSP measured (empty on a warm launch). */
+    std::vector<attest::PreEncryptedRegion> plan;
+    /** The measurement the guest owner expects, when known without
+     *  replaying the plan (the template's, on a warm launch). */
+    std::optional<crypto::Sha256Digest> expected;
+    TraceBuilder tb;
+    LaunchResult result;
+};
+
+/** A fresh VM in its own SPA window: under a new ASID for an SEV
+ *  strategy, without one for the non-SEV baseline. */
+std::shared_ptr<vmm::MicroVm>
+newVm(Platform &platform, const LaunchRequest &request, StrategyKind kind)
+{
+    const bool sev = kind != StrategyKind::kStockFirecracker;
+    return std::make_shared<vmm::MicroVm>(
+        request.vm, platform.allocateSpaWindow(request.vm.memory_size),
+        sev ? platform.psp().allocateAsid() : 0, request.sev_mode);
+}
 
 /** Assign+validate every page the guest does not already own. */
 Status
@@ -101,80 +138,42 @@ runVerifierStage(memory::GuestMemory &mem,
 }
 
 /**
- * The bzImage bootstrap loader under its sim phase's wall span. Its
- * decompression area is a host buffer as large as guest RAM, on 2 MiB
- * pages (memory/dram.h), mapped lazily and freed when the loader
- * returns; the loader decodes into no more of it than the setup
- * header's init_size. Like the span, the area lives outside the root
- * of trust: memory/dram is banned from its closure.
+ * The bzImage bootstrap loader under its sim phase's wall span, charged
+ * as its entry and kernel-decompression steps. Its decompression area
+ * is a host buffer as large as guest RAM, on 2 MiB pages
+ * (memory/dram.h), mapped lazily and freed when the loader returns; the
+ * loader decodes into no more of it than the setup header's init_size.
+ * Like the span, the area lives outside the root of trust: memory/dram
+ * is banned from its closure.
  */
 Result<guest::LoadedKernel>
-runLoaderStage(memory::GuestMemory &mem, Gpa bzimage_gpa, u64 size,
+runLoaderStage(const sim::CostModel &cost, TraceBuilder &tb,
+               memory::GuestMemory &mem, Gpa bzimage_gpa, u64 size,
                const guest::KaslrConfig &kaslr = {})
 {
     SEVF_SPAN(kBootstrapLoader);
     memory::DramBuffer decode_area(mem.size());
-    return guest::runBootstrapLoader(
-        mem, bzimage_gpa, size, true,
-        MutByteSpan(decode_area.data(), decode_area.size()), kaslr);
+    SEVF_ASSIGN_OR_RETURN(
+        guest::LoadedKernel loaded,
+        guest::runBootstrapLoader(
+            mem, bzimage_gpa, size, true,
+            MutByteSpan(decode_area.data(), decode_area.size()), kaslr));
+    tb.cpu(cost.bootstrapFixed(), kBootstrapLoader, "bootstrap_entry");
+    tb.cpu(cost.decompressCost(loaded.codec, loaded.decompressed_bytes),
+           kBootstrapLoader, "decompress_kernel");
+    return loaded;
 }
 
-/**
- * Shared tail: guest Linux boot (+init) and optional remote
- * attestation, charged with the right phases.
- */
-struct GuestBootTail {
-    bool attested = false;
-    u64 secret_bytes = 0;
-};
-
-Result<GuestBootTail>
-runGuestTail(Platform &platform, const LaunchRequest &request,
-             TraceBuilder &tb, memory::GuestMemory &mem,
-             psp::GuestHandle handle,
-             const std::vector<attest::PreEncryptedRegion> &plan,
-             const std::optional<crypto::Sha256Digest> &expected =
-                 std::nullopt)
+/** Remote attestation under its sim phase's wall span, outside the root
+ *  of trust like the verifier and loader stages. */
+Result<guest::AttestationOutcome>
+runAttestationStage(Platform &platform, psp::GuestHandle handle,
+                    memory::GuestMemory &mem, attest::GuestOwner &owner,
+                    u64 seed)
 {
-    const sim::CostModel &cost = platform.cost();
-    const workload::KernelSpec &spec = workload::kernelSpec(request.kernel);
-
-    tb.cpu(cost.linuxBoot(spec.base_linux_boot, mem.sevMode()), kLinuxBoot,
-           "linux_boot");
-    tb.cpu(cost.initExec(), kLinuxBoot, "exec_init");
-
-    GuestBootTail tail;
-    if (!request.attest || !spec.has_network) {
-        return tail;
-    }
-
-    // The expected-measurement tool replays the data regions plus the
-    // measured VMSAs for SEV-ES/SNP guests.
-    std::optional<attest::VmsaInfo> vmsa;
-    if (memory::hasEncryptedState(mem.sevMode())) {
-        vmsa = attest::VmsaInfo{request.vm.vcpus, request.vm.sev_policy,
-                                layout::kVmsaGpa};
-    }
-    // Warm boots pass the template measurement (verified equal to this
-    // launch's LAUNCH_MEASURE) instead of re-deriving it from the plan.
-    ByteVec secret = ownerSecret(request.seed);
-    attest::GuestOwner owner(platform.keyServer(),
-                             expected ? *expected
-                                      : attest::expectedMeasurement(plan,
-                                                                    vmsa),
-                             secret, request.seed ^ 0x0143);
-    Result<guest::AttestationOutcome> outcome = guest::runAttestation(
-        platform.psp(), handle, mem, kSecretGpa, owner,
-        request.seed ^ 0x9e57);
-    if (!outcome.isOk()) {
-        return outcome.status();
-    }
-    tb.cpu(cost.attestGuest(), kAttestation, "guest_report_request");
-    tb.psp(cost.pspReport(), kAttestation, "psp_report");
-    tb.net(cost.attestNetwork(), kAttestation, "owner_round_trip");
-    tail.attested = true;
-    tail.secret_bytes = outcome->secret_size;
-    return tail;
+    SEVF_SPAN(kAttestation);
+    return guest::runAttestation(platform.psp(), handle, mem, kSecretGpa,
+                                 owner, seed ^ 0x9e57);
 }
 
 /** Charge the PSP launch flow and execute it functionally. */
@@ -234,577 +233,611 @@ runLaunchFlow(Platform &platform, TraceBuilder &tb, vmm::MicroVm &vm,
 // Stock Firecracker (non-SEV baseline, §2.1)
 // ===================================================================
 
-class StockFirecrackerStrategy final : public BootStrategy
+Result<PreparedLaunch>
+prepareStockFirecracker(Platform &platform, const LaunchRequest &request)
 {
-  public:
-    StrategyKind kind() const override
-    {
-        return StrategyKind::kStockFirecracker;
-    }
+    const sim::CostModel &cost = platform.cost();
+    const workload::KernelArtifacts &art =
+        workload::cachedKernelArtifacts(request.kernel, request.scale);
+    const ByteVec &initrd = workload::cachedInitrd(request.scale);
 
-    Result<LaunchResult>
-    doLaunch(Platform &platform, const LaunchRequest &request) override
-    {
-        const sim::CostModel &cost = platform.cost();
-        const workload::KernelSpec &spec =
-            workload::kernelSpec(request.kernel);
-        const workload::KernelArtifacts &art =
-            workload::cachedKernelArtifacts(request.kernel, request.scale);
-        const ByteVec &initrd = workload::cachedInitrd(request.scale);
+    PreparedLaunch p(StrategyKind::kStockFirecracker);
+    p.tb.cpu(cost.fcProcessStart(), kVmm, "firecracker_start");
+    p.vm = newVm(platform, request, StrategyKind::kStockFirecracker);
 
-        LaunchResult result;
-        result.strategy = kind();
-        TraceBuilder tb(result.timeline);
-
-        tb.cpu(cost.fcProcessStart(), kVmm, "firecracker_start");
-        auto vm_ptr = std::make_shared<vmm::MicroVm>(
-            request.vm,
-            platform.allocateSpaWindow(request.vm.memory_size),
-            /*asid=*/0);
-        vmm::MicroVm &vm = *vm_ptr;
-
-        Result<vmm::DirectBootLoad> load =
-            vm.directBoot(art.vmlinux, initrd);
-        if (!load.isOk()) {
-            return load.status();
-        }
-        tb.cpu(cost.vmmLoad(load->kernel_file_bytes + load->initrd_bytes +
-                            load->structs.totalBytes()),
-               kVmm, "load_kernel_and_initrd");
-        tb.cpu(cost.fcSetup(), kVmm, "vm_setup");
-
-        tb.cpu(cost.linuxBoot(spec.base_linux_boot, /*snp=*/false),
-               kLinuxBoot, "linux_boot");
-        tb.cpu(cost.initExec(), kLinuxBoot, "exec_init");
-
-        // Non-SEV: nothing is measured, so the whole boot (tail
-        // included) is template state.
-        maybeCaptureTemplate(request, vm, tb, {}, result,
-                             /*tail_in_steps=*/true);
-        if (request.keep_vm) {
-            result.vm = vm_ptr;
-        }
-        result.trace = tb.take();
-        return result;
-    }
-};
+    SEVF_ASSIGN_OR_RETURN(vmm::DirectBootLoad load,
+                          p.vm->directBoot(art.vmlinux, initrd));
+    p.tb.cpu(cost.vmmLoad(load.kernel_file_bytes + load.initrd_bytes +
+                          load.structs.totalBytes()),
+             kVmm, "load_kernel_and_initrd");
+    p.tb.cpu(cost.fcSetup(), kVmm, "vm_setup");
+    return p;
+}
 
 // ===================================================================
 // SEVeriFast (§4): minimal verifier + measured direct boot
 // ===================================================================
 
-class SeveriFastStrategy final : public BootStrategy
+Result<PreparedLaunch>
+prepareSeveriFast(Platform &platform, const LaunchRequest &request,
+                  bool bzimage)
 {
-  public:
-    explicit SeveriFastStrategy(bool bzimage) : bzimage_(bzimage) {}
+    const StrategyKind kind = bzimage ? StrategyKind::kSeveriFastBz
+                                      : StrategyKind::kSeveriFastVmlinux;
+    const sim::CostModel &cost = platform.cost();
+    const workload::KernelArtifacts &art =
+        workload::cachedKernelArtifacts(request.kernel, request.scale);
+    const ByteVec &initrd_raw = workload::cachedInitrd(request.scale);
 
-    StrategyKind kind() const override
-    {
-        return bzimage_ ? StrategyKind::kSeveriFastBz
-                        : StrategyKind::kSeveriFastVmlinux;
+    // Kernel image per the requested format/codec (built offline).
+    ByteVec kernel_storage;
+    ByteSpan kernel_image;
+    if (bzimage) {
+        if (request.kernel_codec == compress::CodecKind::kLz4) {
+            kernel_image = art.bzimage;
+        } else {
+            image::BzImageBuildConfig cfg;
+            cfg.codec = request.kernel_codec;
+            kernel_storage = image::buildBzImage(art.vmlinux, cfg);
+            kernel_image = kernel_storage;
+        }
+    } else {
+        kernel_image = art.vmlinux;
     }
 
-    Result<LaunchResult>
-    doLaunch(Platform &platform, const LaunchRequest &request) override
-    {
-        const sim::CostModel &cost = platform.cost();
-        const workload::KernelArtifacts &art =
-            workload::cachedKernelArtifacts(request.kernel, request.scale);
-        const ByteVec &initrd_raw = workload::cachedInitrd(request.scale);
+    // Initrd, optionally compressed (the Fig 5 trade-off).
+    ByteVec initrd_storage;
+    ByteSpan staged_initrd;
+    if (request.initrd_codec == compress::CodecKind::kNone) {
+        staged_initrd = initrd_raw;
+    } else {
+        initrd_storage =
+            compress::codecFor(request.initrd_codec).compress(initrd_raw);
+        staged_initrd = initrd_storage;
+    }
 
-        // Kernel image per the requested format/codec (built offline).
-        ByteVec kernel_storage;
-        ByteSpan kernel_image;
-        if (bzimage_) {
-            if (request.kernel_codec == compress::CodecKind::kLz4) {
-                kernel_image = art.bzimage;
-            } else {
-                image::BzImageBuildConfig cfg;
-                cfg.codec = request.kernel_codec;
-                kernel_storage = image::buildBzImage(art.vmlinux, cfg);
-                kernel_image = kernel_storage;
-            }
-        } else {
-            kernel_image = art.vmlinux;
-        }
+    ByteVec bloated_verifier;
+    if (request.verifier_size != 0) {
+        bloated_verifier =
+            verifier::bloatedVerifierBinary(request.verifier_size);
+    }
+    ByteSpan verifier_bin = request.verifier_size == 0
+                                ? verifier::verifierBinary()
+                                : bloated_verifier;
 
-        // Initrd, optionally compressed (the Fig 5 trade-off).
-        ByteVec initrd_storage;
-        ByteSpan staged_initrd;
-        if (request.initrd_codec == compress::CodecKind::kNone) {
-            staged_initrd = initrd_raw;
-        } else {
-            initrd_storage =
-                compress::codecFor(request.initrd_codec).compress(initrd_raw);
-            staged_initrd = initrd_storage;
-        }
+    PreparedLaunch p(kind);
+    TraceBuilder &tb = p.tb;
 
-        const ByteVec &verifier_bin =
-            request.verifier_size == 0
-                ? verifier::verifierBinary()
-                : bloated_cache_.emplace_back(verifier::bloatedVerifierBinary(
-                      request.verifier_size));
+    // ---- VMM side ----
+    tb.cpu(cost.fcProcessStart(), kVmm, "firecracker_start");
+    tb.cpu(cost.kvmSnpInit(), kVmm, "kvm_snp_init");
+    p.vm = newVm(platform, request, kind);
+    vmm::MicroVm &vm = *p.vm;
 
-        LaunchResult result;
-        result.strategy = kind();
-        TraceBuilder tb(result.timeline);
+    // Stage components into shared windows (Fig 2 step 3).
+    if (bzimage) {
+        SEVF_RETURN_IF_ERROR(
+            vm.stageMeasuredComponents(kernel_image, staged_initrd).status());
+    } else {
+        vmm::FwCfg fw(vm.memory(), layout::kKernelStagingGpa,
+                      layout::kInitrdStagingGpa -
+                          layout::kKernelStagingGpa);
+        SEVF_RETURN_IF_ERROR(stageVmlinuxViaFwCfg(fw, kernel_image));
+        SEVF_RETURN_IF_ERROR(vm.memory().hostWrite(
+            layout::kInitrdStagingGpa, staged_initrd));
+    }
+    tb.cpu(cost.vmmLoad(kernel_image.size() + staged_initrd.size()), kVmm,
+           "stage_components");
 
-        // ---- VMM side ----
-        tb.cpu(cost.fcProcessStart(), kVmm, "firecracker_start");
-        tb.cpu(cost.kvmSnpInit(), kVmm, "kvm_snp_init");
-        auto vm_ptr = std::make_shared<vmm::MicroVm>(
-            request.vm,
-            platform.allocateSpaWindow(request.vm.memory_size),
-            platform.psp().allocateAsid(), request.sev_mode);
-        vmm::MicroVm &vm = *vm_ptr;
+    // Boot structures (Fig 7 pre-encrypt set).
+    const Gpa initrd_final =
+        request.initrd_codec == compress::CodecKind::kNone
+            ? layout::kInitrdPrivateGpa
+            : layout::kInitrdDecompressedGpa;
+    SEVF_ASSIGN_OR_RETURN(
+        vmm::BootStructs structs,
+        vm.stageBootStructs(initrd_final, initrd_raw.size(), 0));
+    tb.cpu(cost.fcSetup(), kVmm, "vm_setup");
 
-        // Stage components into shared windows (Fig 2 step 3).
-        if (bzimage_) {
-            Result<vmm::StagedComponents> staged =
-                vm.stageMeasuredComponents(kernel_image, staged_initrd);
-            if (!staged.isOk()) {
-                return staged.status();
-            }
-        } else {
-            vmm::FwCfg fw(vm.memory(), layout::kKernelStagingGpa,
-                          layout::kInitrdStagingGpa -
-                              layout::kKernelStagingGpa);
-            SEVF_RETURN_IF_ERROR(stageVmlinuxViaFwCfg(fw, kernel_image));
-            SEVF_RETURN_IF_ERROR(vm.memory().hostWrite(
-                layout::kInitrdStagingGpa, staged_initrd));
-        }
-        tb.cpu(cost.vmmLoad(kernel_image.size() + staged_initrd.size()),
-               kVmm, "stage_components");
+    // Component hashes: out-of-band by default (§4.3); otherwise
+    // charge the in-VMM hashing the paper eliminates.
+    verifier::BootHashes hashes;
+    if (bzimage) {
+        hashes.kernel = componentDigest(kernel_image, art.bzimage);
+    } else {
+        SEVF_ASSIGN_OR_RETURN(hashes.kernel,
+                              verifier::vmlinuxStreamDigest(kernel_image));
+    }
+    hashes.kernel_size = kernel_image.size();
+    hashes.initrd = componentDigest(staged_initrd, initrd_raw);
+    hashes.initrd_size = staged_initrd.size();
+    if (!request.out_of_band_hashing) {
+        tb.cpu(cost.vmmHash(kernel_image.size() + staged_initrd.size()),
+               kVmm, "hash_components_in_vmm");
+    }
 
-        // Boot structures (Fig 7 pre-encrypt set).
-        const Gpa initrd_final =
-            request.initrd_codec == compress::CodecKind::kNone
-                ? layout::kInitrdPrivateGpa
-                : layout::kInitrdDecompressedGpa;
-        Result<vmm::BootStructs> structs =
-            vm.stageBootStructs(initrd_final, initrd_raw.size(), 0);
-        if (!structs.isOk()) {
-            return structs.status();
-        }
-        tb.cpu(cost.fcSetup(), kVmm, "vm_setup");
+    SEVF_ASSIGN_OR_RETURN(
+        p.plan, vm.buildPreEncryptionPlan(verifier_bin, hashes, structs));
+    p.result.pre_encrypted_bytes = attest::totalPreEncryptedBytes(p.plan);
 
-        // Component hashes: out-of-band by default (§4.3); otherwise
-        // charge the in-VMM hashing the paper eliminates.
-        verifier::BootHashes hashes;
-        if (bzimage_) {
-            hashes.kernel = componentDigest(kernel_image, art.bzimage);
-        } else {
-            Result<crypto::Sha256Digest> kd =
-                verifier::vmlinuxStreamDigest(kernel_image);
-            if (!kd.isOk()) {
-                return kd.status();
-            }
-            hashes.kernel = *kd;
-        }
-        hashes.kernel_size = kernel_image.size();
-        hashes.initrd = componentDigest(staged_initrd, initrd_raw);
-        hashes.initrd_size = staged_initrd.size();
-        if (!request.out_of_band_hashing) {
-            tb.cpu(cost.vmmHash(kernel_image.size() + staged_initrd.size()),
-                   kVmm, "hash_components_in_vmm");
-        }
+    SEVF_ASSIGN_OR_RETURN(p.handle,
+                          runLaunchFlow(platform, tb, vm, p.plan, request));
+    p.result.measurement = *platform.psp().launchMeasure(p.handle);
 
-        Result<std::vector<attest::PreEncryptedRegion>> plan =
-            vm.buildPreEncryptionPlan(verifier_bin, hashes, *structs);
-        if (!plan.isOk()) {
-            return plan.status();
-        }
-        result.pre_encrypted_bytes = attest::totalPreEncryptedBytes(*plan);
-
-        Result<psp::GuestHandle> handle =
-            runLaunchFlow(platform, tb, vm, *plan, request);
-        if (!handle.isOk()) {
-            return handle.status();
-        }
-        result.measurement = *platform.psp().launchMeasure(*handle);
-
-        // ---- Boot verifier (in-guest) ----
-        verifier::VerifierInputs inputs;
-        inputs.kernel_staging = layout::kKernelStagingGpa;
-        inputs.initrd_staging = layout::kInitrdStagingGpa;
-        inputs.hash_table_gpa = layout::kHashTableGpa;
-        inputs.kernel_private = layout::kBzImagePrivateGpa;
-        inputs.initrd_private = layout::kInitrdPrivateGpa;
-        inputs.page_table_root = layout::kPageTableGpa;
-        inputs.kernel_kind = bzimage_
-                                 ? verifier::KernelImageKind::kBzImage
+    // ---- Boot verifier (in-guest) ----
+    verifier::VerifierInputs inputs;
+    inputs.kernel_staging = layout::kKernelStagingGpa;
+    inputs.initrd_staging = layout::kInitrdStagingGpa;
+    inputs.hash_table_gpa = layout::kHashTableGpa;
+    inputs.kernel_private = layout::kBzImagePrivateGpa;
+    inputs.initrd_private = layout::kInitrdPrivateGpa;
+    inputs.page_table_root = layout::kPageTableGpa;
+    inputs.kernel_kind = bzimage ? verifier::KernelImageKind::kBzImage
                                  : verifier::KernelImageKind::kVmlinux;
-        inputs.hugepages = request.vm.hugepages;
-        inputs.keep_shared = {
-            {layout::kKernelStagingGpa, kernel_image.size()},
-            {layout::kInitrdStagingGpa, staged_initrd.size()},
-        };
+    inputs.hugepages = request.vm.hugepages;
+    inputs.keep_shared = {
+        {layout::kKernelStagingGpa, kernel_image.size()},
+        {layout::kInitrdStagingGpa, staged_initrd.size()},
+    };
 
-        Result<verifier::VerifiedBoot> boot =
-            runVerifierStage(vm.memory(), inputs);
-        if (!boot.isOk()) {
-            return boot.status();
-        }
-        result.verifier_stats = boot->stats;
+    SEVF_ASSIGN_OR_RETURN(verifier::VerifiedBoot boot,
+                          runVerifierStage(vm.memory(), inputs));
+    p.result.verifier_stats = boot.stats;
 
-        tb.cpu(cost.pvalidateSweep(boot->stats.pages_validated * kPageSize,
-                                   request.vm.hugepages),
-               kBootVerification, "pvalidate_sweep");
-        tb.cpu(cost.pageTableInit(), kBootVerification, "init_page_tables");
-        tb.cpu(cost.cpuCopy(boot->stats.bytes_copied), kBootVerification,
-               "copy_to_private");
-        tb.cpu(cost.cpuSha256(boot->stats.bytes_hashed), kBootVerification,
-               "rehash_components");
-        tb.cpu(cost.verifierFixed(), kBootVerification, "verify_digests");
+    tb.cpu(cost.pvalidateSweep(boot.stats.pages_validated * kPageSize,
+                               request.vm.hugepages),
+           kBootVerification, "pvalidate_sweep");
+    tb.cpu(cost.pageTableInit(), kBootVerification, "init_page_tables");
+    tb.cpu(cost.cpuCopy(boot.stats.bytes_copied), kBootVerification,
+           "copy_to_private");
+    tb.cpu(cost.cpuSha256(boot.stats.bytes_hashed), kBootVerification,
+           "rehash_components");
+    tb.cpu(cost.verifierFixed(), kBootVerification, "verify_digests");
 
-        // ---- Bootstrap loader (bzImage path only, §4.4) ----
-        if (bzimage_) {
-            guest::KaslrConfig kaslr;
-            if (request.guest_kaslr) {
-                kaslr.enabled = true;
-                kaslr.seed = request.seed ^ 0x4a514c; // in-guest RDRAND
-                // Keep the slid kernel clear of the private bzImage
-                // region that starts at 80 MiB.
-                u64 load_end =
-                    layout::kKernelLoadGpa +
-                    workload::kernelSpec(request.kernel).vmlinux_size +
-                    2 * kMiB;
-                kaslr.max_slide =
-                    load_end < layout::kBzImagePrivateGpa
-                        ? alignDown(layout::kBzImagePrivateGpa - load_end,
-                                    kHugePageSize)
-                        : 0;
-            }
-            Result<guest::LoadedKernel> loaded = runLoaderStage(
-                vm.memory(), boot->kernel_gpa, boot->kernel_size, kaslr);
-            if (!loaded.isOk()) {
-                return loaded.status();
-            }
-            result.kaslr_slide = loaded->kaslr_slide;
-            tb.cpu(cost.bootstrapFixed(), kBootstrapLoader,
-                   "bootstrap_entry");
-            tb.cpu(cost.decompressCost(loaded->codec,
-                                       loaded->decompressed_bytes),
-                   kBootstrapLoader, "decompress_kernel");
+    // ---- Bootstrap loader (bzImage path only, §4.4) ----
+    if (bzimage) {
+        guest::KaslrConfig kaslr;
+        if (request.guest_kaslr) {
+            kaslr.enabled = true;
+            kaslr.seed = request.seed ^ 0x4a514c; // in-guest RDRAND
+            // Keep the slid kernel clear of the private bzImage region
+            // that starts at 80 MiB.
+            u64 load_end = layout::kKernelLoadGpa +
+                           workload::kernelSpec(request.kernel).vmlinux_size +
+                           2 * kMiB;
+            kaslr.max_slide =
+                load_end < layout::kBzImagePrivateGpa
+                    ? alignDown(layout::kBzImagePrivateGpa - load_end,
+                                kHugePageSize)
+                    : 0;
         }
-
-        // Compressed-initrd variant: the guest must inflate it before
-        // unpacking the CPIO (the Fig 5 "leave it uncompressed" lesson).
-        if (request.initrd_codec != compress::CodecKind::kNone) {
-            Result<ByteVec> packed = vm.memory().guestRead(
-                layout::kInitrdPrivateGpa, staged_initrd.size(), true);
-            if (!packed.isOk()) {
-                return packed.status();
-            }
-            Result<ByteVec> inflated =
-                compress::codecFor(request.initrd_codec).decompress(*packed);
-            if (!inflated.isOk()) {
-                return inflated.status();
-            }
-            SEVF_RETURN_IF_ERROR(vm.memory().guestWrite(
-                layout::kInitrdDecompressedGpa, *inflated, true));
-            tb.cpu(cost.decompressCost(request.initrd_codec,
-                                       inflated->size()),
-                   kBootstrapLoader, "decompress_initrd");
-        }
-
-        maybeCaptureTemplate(request, vm, tb, *plan, result,
-                             /*tail_in_steps=*/false);
-        Result<GuestBootTail> tail = runGuestTail(platform, request, tb,
-                                                  vm.memory(), *handle,
-                                                  *plan);
-        if (!tail.isOk()) {
-            return tail.status();
-        }
-        result.attested = tail->attested;
-        result.provisioned_secret_bytes = tail->secret_bytes;
-        if (request.keep_vm) {
-            result.vm = vm_ptr;
-        }
-        result.trace = tb.take();
-        return result;
+        SEVF_ASSIGN_OR_RETURN(
+            guest::LoadedKernel loaded,
+            runLoaderStage(cost, tb, vm.memory(), boot.kernel_gpa,
+                           boot.kernel_size, kaslr));
+        p.result.kaslr_slide = loaded.kaslr_slide;
     }
 
-  private:
-    bool bzimage_;
-    std::vector<ByteVec> bloated_cache_;
-};
+    // Compressed-initrd variant: the guest must inflate it before
+    // unpacking the CPIO (the Fig 5 "leave it uncompressed" lesson).
+    if (request.initrd_codec != compress::CodecKind::kNone) {
+        SEVF_ASSIGN_OR_RETURN(
+            ByteVec packed,
+            vm.memory().guestRead(layout::kInitrdPrivateGpa,
+                                  staged_initrd.size(), true));
+        SEVF_ASSIGN_OR_RETURN(
+            ByteVec inflated,
+            compress::codecFor(request.initrd_codec).decompress(packed));
+        SEVF_RETURN_IF_ERROR(vm.memory().guestWrite(
+            layout::kInitrdDecompressedGpa, inflated, true));
+        tb.cpu(cost.decompressCost(request.initrd_codec, inflated.size()),
+               kBootstrapLoader, "decompress_initrd");
+    }
+    return p;
+}
 
 // ===================================================================
 // QEMU/OVMF SEV (§2.5 state of the art, the Fig 3/9/10 baseline)
 // ===================================================================
 
-class QemuOvmfStrategy final : public BootStrategy
+Result<PreparedLaunch>
+prepareQemuOvmf(Platform &platform, const LaunchRequest &request)
 {
-  public:
-    StrategyKind kind() const override { return StrategyKind::kQemuOvmfSev; }
+    const sim::CostModel &cost = platform.cost();
+    const workload::KernelArtifacts &art =
+        workload::cachedKernelArtifacts(request.kernel, request.scale);
+    const ByteVec &initrd = workload::cachedInitrd(request.scale);
+    const ByteVec ovmf = firmware::ovmfImage(cost);
 
-    Result<LaunchResult>
-    doLaunch(Platform &platform, const LaunchRequest &request) override
-    {
-        const sim::CostModel &cost = platform.cost();
-        const workload::KernelArtifacts &art =
-            workload::cachedKernelArtifacts(request.kernel, request.scale);
-        const ByteVec &initrd = workload::cachedInitrd(request.scale);
-        const ByteVec ovmf = firmware::ovmfImage(cost);
+    PreparedLaunch p(StrategyKind::kQemuOvmfSev);
+    TraceBuilder &tb = p.tb;
 
-        LaunchResult result;
-        result.strategy = kind();
-        TraceBuilder tb(result.timeline);
+    // ---- QEMU side ----
+    tb.cpu(cost.qemuProcessStart(), kVmm, "qemu_start");
+    tb.cpu(cost.qemuSetup(), kVmm, "machine_setup");
+    p.vm = newVm(platform, request, StrategyKind::kQemuOvmfSev);
+    vmm::MicroVm &vm = *p.vm;
 
-        // ---- QEMU side ----
-        tb.cpu(cost.qemuProcessStart(), kVmm, "qemu_start");
-        tb.cpu(cost.qemuSetup(), kVmm, "machine_setup");
-        auto vm_ptr = std::make_shared<vmm::MicroVm>(
-            request.vm,
-            platform.allocateSpaWindow(request.vm.memory_size),
-            platform.psp().allocateAsid(), request.sev_mode);
-        vmm::MicroVm &vm = *vm_ptr;
+    SEVF_RETURN_IF_ERROR(
+        vm.memory().hostWrite(firmware::kOvmfBaseGpa, ovmf));
+    SEVF_RETURN_IF_ERROR(
+        vm.stageMeasuredComponents(art.bzimage, initrd).status());
+    ByteVec cmdline_z = toBytes(request.vm.cmdline);
+    cmdline_z.push_back(0);
+    SEVF_RETURN_IF_ERROR(
+        vm.memory().hostWrite(layout::kCmdlineStagingGpa, cmdline_z));
+    tb.cpu(cost.vmmLoad(ovmf.size() + art.bzimage.size() + initrd.size()),
+           kVmm, "load_firmware_and_components");
 
-        SEVF_RETURN_IF_ERROR(
-            vm.memory().hostWrite(firmware::kOvmfBaseGpa, ovmf));
-        Result<vmm::StagedComponents> staged =
-            vm.stageMeasuredComponents(art.bzimage, initrd);
-        if (!staged.isOk()) {
-            return staged.status();
-        }
-        ByteVec cmdline_z = toBytes(request.vm.cmdline);
-        cmdline_z.push_back(0);
-        SEVF_RETURN_IF_ERROR(
-            vm.memory().hostWrite(layout::kCmdlineStagingGpa, cmdline_z));
-        tb.cpu(cost.vmmLoad(ovmf.size() + art.bzimage.size() +
-                            initrd.size()),
-               kVmm, "load_firmware_and_components");
+    // QEMU hashes all three components in the VMM, on the critical
+    // path (no out-of-band option upstream, §4.3).
+    verifier::BootHashes hashes = verifier::BootHashes::compute(
+        art.bzimage, initrd, asBytes(request.vm.cmdline));
+    tb.cpu(cost.vmmHash(art.bzimage.size() + initrd.size() +
+                        request.vm.cmdline.size()),
+           kVmm, "hash_components_in_vmm");
 
-        // QEMU hashes all three components in the VMM, on the critical
-        // path (no out-of-band option upstream, §4.3).
-        verifier::BootHashes hashes = verifier::BootHashes::compute(
-            art.bzimage, initrd, asBytes(request.vm.cmdline));
-        tb.cpu(cost.vmmHash(art.bzimage.size() + initrd.size() +
-                            request.vm.cmdline.size()),
-               kVmm, "hash_components_in_vmm");
+    // Pre-encryption plan: the entire OVMF volume + the hash page.
+    p.plan.push_back({"ovmf", firmware::kOvmfBaseGpa, ovmf});
+    ByteVec hash_page = hashes.toPage();
+    SEVF_RETURN_IF_ERROR(
+        vm.memory().hostWrite(layout::kHashTableGpa, hash_page));
+    p.plan.push_back({"component_hashes", layout::kHashTableGpa,
+                      std::move(hash_page)});
+    p.result.pre_encrypted_bytes = attest::totalPreEncryptedBytes(p.plan);
 
-        // Pre-encryption plan: the entire OVMF volume + the hash page.
-        std::vector<attest::PreEncryptedRegion> plan;
-        plan.push_back({"ovmf", firmware::kOvmfBaseGpa, ovmf});
-        ByteVec hash_page = hashes.toPage();
-        SEVF_RETURN_IF_ERROR(
-            vm.memory().hostWrite(layout::kHashTableGpa, hash_page));
-        plan.push_back({"component_hashes", layout::kHashTableGpa,
-                        std::move(hash_page)});
-        result.pre_encrypted_bytes = attest::totalPreEncryptedBytes(plan);
+    SEVF_ASSIGN_OR_RETURN(p.handle,
+                          runLaunchFlow(platform, tb, vm, p.plan, request));
+    // The QEMU flow issues extra session/VMSA commands (Fig 10's
+    // 287.8 ms pre-encryption vs the raw 1 MiB cost).
+    tb.psp(cost.qemuSessionPsp(), kPreEncryption, "sev_session_vmsa");
+    p.result.measurement = *platform.psp().launchMeasure(p.handle);
 
-        Result<psp::GuestHandle> handle =
-            runLaunchFlow(platform, tb, vm, plan, request);
-        if (!handle.isOk()) {
-            return handle.status();
-        }
-        // The QEMU flow issues extra session/VMSA commands (Fig 10's
-        // 287.8 ms pre-encryption vs the raw 1 MiB cost).
-        tb.psp(cost.qemuSessionPsp(), kPreEncryption, "sev_session_vmsa");
-        result.measurement = *platform.psp().launchMeasure(*handle);
-
-        // ---- OVMF (in-guest): full PI phase sequence first ----
-        for (const firmware::UefiPhase &ph : firmware::uefiPhases(cost)) {
-            tb.cpu(ph.duration, kFirmware, "ovmf_" + ph.name);
-        }
-
-        // ---- OVMF's measured-direct-boot verifier ----
-        verifier::VerifierInputs inputs;
-        inputs.kernel_staging = layout::kKernelStagingGpa;
-        inputs.initrd_staging = layout::kInitrdStagingGpa;
-        inputs.hash_table_gpa = layout::kHashTableGpa;
-        inputs.kernel_private = layout::kBzImagePrivateGpa;
-        inputs.initrd_private = layout::kInitrdPrivateGpa;
-        inputs.page_table_root = layout::kPageTableGpa;
-        inputs.kernel_kind = verifier::KernelImageKind::kBzImage;
-        inputs.hugepages = request.vm.hugepages;
-        inputs.cmdline_staging = layout::kCmdlineStagingGpa;
-        inputs.cmdline_private = layout::kCmdlineGpa;
-        inputs.keep_shared = {
-            {layout::kKernelStagingGpa, art.bzimage.size()},
-            {layout::kInitrdStagingGpa, initrd.size()},
-            {layout::kCmdlineStagingGpa, kPageSize},
-        };
-        Result<verifier::VerifiedBoot> boot =
-            runVerifierStage(vm.memory(), inputs);
-        if (!boot.isOk()) {
-            return boot.status();
-        }
-        result.verifier_stats = boot->stats;
-        // EDKII copy+hash runs slower than the SEVeriFast verifier.
-        tb.cpu(cost.ovmfVerify(boot->stats.bytes_hashed),
-               kBootVerification, "ovmf_verify_components");
-
-        // ---- Bootstrap loader + kernel ----
-        Result<guest::LoadedKernel> loaded =
-            runLoaderStage(vm.memory(), boot->kernel_gpa, boot->kernel_size);
-        if (!loaded.isOk()) {
-            return loaded.status();
-        }
-        tb.cpu(cost.bootstrapFixed(), kBootstrapLoader, "bootstrap_entry");
-        tb.cpu(cost.lz4Decompress(loaded->decompressed_bytes),
-               kBootstrapLoader, "decompress_kernel");
-
-        maybeCaptureTemplate(request, vm, tb, plan, result,
-                             /*tail_in_steps=*/false);
-        Result<GuestBootTail> tail = runGuestTail(platform, request, tb,
-                                                  vm.memory(), *handle,
-                                                  plan);
-        if (!tail.isOk()) {
-            return tail.status();
-        }
-        result.attested = tail->attested;
-        result.provisioned_secret_bytes = tail->secret_bytes;
-        if (request.keep_vm) {
-            result.vm = vm_ptr;
-        }
-        result.trace = tb.take();
-        return result;
+    // ---- OVMF (in-guest): full PI phase sequence first ----
+    for (const firmware::UefiPhase &ph : firmware::uefiPhases(cost)) {
+        tb.cpu(ph.duration, kFirmware, "ovmf_" + ph.name);
     }
-};
+
+    // ---- OVMF's measured-direct-boot verifier ----
+    verifier::VerifierInputs inputs;
+    inputs.kernel_staging = layout::kKernelStagingGpa;
+    inputs.initrd_staging = layout::kInitrdStagingGpa;
+    inputs.hash_table_gpa = layout::kHashTableGpa;
+    inputs.kernel_private = layout::kBzImagePrivateGpa;
+    inputs.initrd_private = layout::kInitrdPrivateGpa;
+    inputs.page_table_root = layout::kPageTableGpa;
+    inputs.kernel_kind = verifier::KernelImageKind::kBzImage;
+    inputs.hugepages = request.vm.hugepages;
+    inputs.cmdline_staging = layout::kCmdlineStagingGpa;
+    inputs.cmdline_private = layout::kCmdlineGpa;
+    inputs.keep_shared = {
+        {layout::kKernelStagingGpa, art.bzimage.size()},
+        {layout::kInitrdStagingGpa, initrd.size()},
+        {layout::kCmdlineStagingGpa, kPageSize},
+    };
+    SEVF_ASSIGN_OR_RETURN(verifier::VerifiedBoot boot,
+                          runVerifierStage(vm.memory(), inputs));
+    p.result.verifier_stats = boot.stats;
+    // EDKII copy+hash runs slower than the SEVeriFast verifier.
+    tb.cpu(cost.ovmfVerify(boot.stats.bytes_hashed), kBootVerification,
+           "ovmf_verify_components");
+
+    // ---- Bootstrap loader + kernel ----
+    SEVF_RETURN_IF_ERROR(runLoaderStage(cost, tb, vm.memory(),
+                                        boot.kernel_gpa, boot.kernel_size)
+                             .status());
+    return p;
+}
 
 // ===================================================================
 // SEV direct boot (§3.2 strawman: pre-encrypt the kernel itself)
 // ===================================================================
 
-class SevDirectBootStrategy final : public BootStrategy
+Result<PreparedLaunch>
+prepareSevDirectBoot(Platform &platform, const LaunchRequest &request)
 {
-  public:
-    StrategyKind kind() const override
-    {
-        return StrategyKind::kSevDirectBoot;
+    const sim::CostModel &cost = platform.cost();
+    const workload::KernelArtifacts &art =
+        workload::cachedKernelArtifacts(request.kernel, request.scale);
+    const ByteVec &initrd_raw = workload::cachedInitrd(request.scale);
+    const bool bzimage = request.kernel_codec != compress::CodecKind::kNone;
+
+    ByteVec initrd_storage;
+    ByteSpan initrd = initrd_raw;
+    if (request.initrd_codec != compress::CodecKind::kNone) {
+        initrd_storage =
+            compress::codecFor(request.initrd_codec).compress(initrd_raw);
+        initrd = initrd_storage;
     }
 
-    Result<LaunchResult>
-    doLaunch(Platform &platform, const LaunchRequest &request) override
-    {
-        const sim::CostModel &cost = platform.cost();
-        const workload::KernelArtifacts &art =
-            workload::cachedKernelArtifacts(request.kernel, request.scale);
-        const ByteVec &initrd_raw = workload::cachedInitrd(request.scale);
-        const bool bzimage =
-            request.kernel_codec != compress::CodecKind::kNone;
+    PreparedLaunch p(StrategyKind::kSevDirectBoot);
+    TraceBuilder &tb = p.tb;
 
-        ByteVec initrd_storage;
-        ByteSpan initrd = initrd_raw;
-        if (request.initrd_codec != compress::CodecKind::kNone) {
-            initrd_storage =
-                compress::codecFor(request.initrd_codec).compress(initrd_raw);
-            initrd = initrd_storage;
-        }
+    tb.cpu(cost.fcProcessStart(), kVmm, "firecracker_start");
+    tb.cpu(cost.kvmSnpInit(), kVmm, "kvm_snp_init");
+    p.vm = newVm(platform, request, StrategyKind::kSevDirectBoot);
+    vmm::MicroVm &vm = *p.vm;
 
-        LaunchResult result;
-        result.strategy = kind();
-        TraceBuilder tb(result.timeline);
-
-        tb.cpu(cost.fcProcessStart(), kVmm, "firecracker_start");
-        tb.cpu(cost.kvmSnpInit(), kVmm, "kvm_snp_init");
-        auto vm_ptr = std::make_shared<vmm::MicroVm>(
-            request.vm,
-            platform.allocateSpaWindow(request.vm.memory_size),
-            platform.psp().allocateAsid(), request.sev_mode);
-        vmm::MicroVm &vm = *vm_ptr;
-
-        // Place components where they run, then pre-encrypt EVERYTHING:
-        // kernel, initrd, structs - the §3.2 anti-pattern.
-        std::vector<attest::PreEncryptedRegion> plan;
-        u64 kernel_entry = 0;
-        u64 staged_bytes = 0;
-        if (bzimage) {
-            SEVF_RETURN_IF_ERROR(vm.memory().hostWrite(
-                layout::kBzImagePrivateGpa, art.bzimage));
-            plan.push_back({"bzimage", layout::kBzImagePrivateGpa,
-                            art.bzimage});
-            staged_bytes += art.bzimage.size();
-        } else {
-            Result<image::ElfView> elf = image::parseElfView(art.vmlinux);
-            if (!elf.isOk()) {
-                return elf.status();
-            }
-            kernel_entry = elf->entry;
-            for (std::size_t i = 0; i < elf->segments.size(); ++i) {
-                const image::ElfSegmentView &seg = elf->segments[i];
-                SEVF_RETURN_IF_ERROR(
-                    vm.memory().hostWrite(seg.vaddr, seg.data));
-                plan.push_back({"kernel_seg" + std::to_string(i),
-                                seg.vaddr,
-                                ByteVec(seg.data.begin(), seg.data.end())});
-                staged_bytes += seg.data.size();
-            }
-        }
+    // Place components where they run, then pre-encrypt EVERYTHING:
+    // kernel, initrd, structs - the §3.2 anti-pattern.
+    std::vector<attest::PreEncryptedRegion> &plan = p.plan;
+    u64 kernel_entry = 0;
+    u64 staged_bytes = 0;
+    if (bzimage) {
         SEVF_RETURN_IF_ERROR(
-            vm.memory().hostWrite(layout::kInitrdPrivateGpa, initrd));
-        plan.push_back({"initrd", layout::kInitrdPrivateGpa,
-                        ByteVec(initrd.begin(), initrd.end())});
-        staged_bytes += initrd.size();
-
-        Result<vmm::BootStructs> structs = vm.stageBootStructs(
-            layout::kInitrdPrivateGpa, initrd.size(), kernel_entry);
-        if (!structs.isOk()) {
-            return structs.status();
+            vm.memory().hostWrite(layout::kBzImagePrivateGpa, art.bzimage));
+        plan.push_back({"bzimage", layout::kBzImagePrivateGpa, art.bzimage});
+        staged_bytes += art.bzimage.size();
+    } else {
+        SEVF_ASSIGN_OR_RETURN(image::ElfView elf,
+                              image::parseElfView(art.vmlinux));
+        kernel_entry = elf.entry;
+        for (std::size_t i = 0; i < elf.segments.size(); ++i) {
+            const image::ElfSegmentView &seg = elf.segments[i];
+            SEVF_RETURN_IF_ERROR(vm.memory().hostWrite(seg.vaddr, seg.data));
+            plan.push_back({"kernel_seg" + std::to_string(i), seg.vaddr,
+                            ByteVec(seg.data.begin(), seg.data.end())});
+            staged_bytes += seg.data.size();
         }
-        for (const auto &[name, gpa, size] :
-             {std::tuple<const char *, Gpa, u64>{
-                  "mptable", structs->mptable_gpa, structs->mptable_size},
-              {"boot_params", structs->boot_params_gpa,
-               structs->boot_params_size},
-              {"cmdline", structs->cmdline_gpa, structs->cmdline_size}}) {
-            Result<ByteVec> bytes = vm.memory().hostRead(gpa, size);
-            if (!bytes.isOk()) {
-                return bytes.status();
-            }
-            plan.push_back({name, gpa, bytes.take()});
-        }
-        tb.cpu(cost.vmmLoad(staged_bytes), kVmm, "load_components");
-        tb.cpu(cost.fcSetup(), kVmm, "vm_setup");
-
-        result.pre_encrypted_bytes = attest::totalPreEncryptedBytes(plan);
-        Result<psp::GuestHandle> handle =
-            runLaunchFlow(platform, tb, vm, plan, request);
-        if (!handle.isOk()) {
-            return handle.status();
-        }
-        result.measurement = *platform.psp().launchMeasure(*handle);
-
-        // ---- Guest: claim memory (SNP), maybe decompress, boot ----
-        if (vm.memory().integrityEnforced()) {
-            SEVF_RETURN_IF_ERROR(claimRemainingPages(vm.memory()));
-            tb.cpu(cost.pvalidateSweep(vm.memory().size(),
-                                       request.vm.hugepages),
-                   kBootVerification, "pvalidate_sweep");
-        }
-
-        if (bzimage) {
-            Result<guest::LoadedKernel> loaded = runLoaderStage(
-                vm.memory(), layout::kBzImagePrivateGpa, art.bzimage.size());
-            if (!loaded.isOk()) {
-                return loaded.status();
-            }
-            tb.cpu(cost.bootstrapFixed(), kBootstrapLoader,
-                   "bootstrap_entry");
-            tb.cpu(cost.decompressCost(loaded->codec,
-                                       loaded->decompressed_bytes),
-                   kBootstrapLoader, "decompress_kernel");
-        }
-
-        maybeCaptureTemplate(request, vm, tb, plan, result,
-                             /*tail_in_steps=*/false);
-        Result<GuestBootTail> tail = runGuestTail(platform, request, tb,
-                                                  vm.memory(), *handle,
-                                                  plan);
-        if (!tail.isOk()) {
-            return tail.status();
-        }
-        result.attested = tail->attested;
-        result.provisioned_secret_bytes = tail->secret_bytes;
-        if (request.keep_vm) {
-            result.vm = vm_ptr;
-        }
-        result.trace = tb.take();
-        return result;
     }
-};
+    SEVF_RETURN_IF_ERROR(
+        vm.memory().hostWrite(layout::kInitrdPrivateGpa, initrd));
+    plan.push_back({"initrd", layout::kInitrdPrivateGpa,
+                    ByteVec(initrd.begin(), initrd.end())});
+    staged_bytes += initrd.size();
+
+    SEVF_ASSIGN_OR_RETURN(
+        vmm::BootStructs structs,
+        vm.stageBootStructs(layout::kInitrdPrivateGpa, initrd.size(),
+                            kernel_entry));
+    for (const auto &[name, gpa, size] :
+         {std::tuple<const char *, Gpa, u64>{
+              "mptable", structs.mptable_gpa, structs.mptable_size},
+          {"boot_params", structs.boot_params_gpa, structs.boot_params_size},
+          {"cmdline", structs.cmdline_gpa, structs.cmdline_size}}) {
+        SEVF_ASSIGN_OR_RETURN(ByteVec bytes, vm.memory().hostRead(gpa, size));
+        plan.push_back({name, gpa, std::move(bytes)});
+    }
+    tb.cpu(cost.vmmLoad(staged_bytes), kVmm, "load_components");
+    tb.cpu(cost.fcSetup(), kVmm, "vm_setup");
+
+    p.result.pre_encrypted_bytes = attest::totalPreEncryptedBytes(plan);
+    SEVF_ASSIGN_OR_RETURN(p.handle,
+                          runLaunchFlow(platform, tb, vm, plan, request));
+    p.result.measurement = *platform.psp().launchMeasure(p.handle);
+
+    // ---- Guest: claim memory (SNP), maybe decompress ----
+    if (vm.memory().integrityEnforced()) {
+        SEVF_RETURN_IF_ERROR(claimRemainingPages(vm.memory()));
+        tb.cpu(cost.pvalidateSweep(vm.memory().size(), request.vm.hugepages),
+               kBootVerification, "pvalidate_sweep");
+    }
+
+    if (bzimage) {
+        SEVF_RETURN_IF_ERROR(runLoaderStage(cost, tb, vm.memory(),
+                                            layout::kBzImagePrivateGpa,
+                                            art.bzimage.size())
+                                 .status());
+    }
+    return p;
+}
+
+Result<PreparedLaunch>
+prepare(Platform &platform, const LaunchRequest &request, StrategyKind kind)
+{
+    switch (kind) {
+      case StrategyKind::kStockFirecracker:
+        return prepareStockFirecracker(platform, request);
+      case StrategyKind::kQemuOvmfSev:
+        return prepareQemuOvmf(platform, request);
+      case StrategyKind::kSevDirectBoot:
+        return prepareSevDirectBoot(platform, request);
+      case StrategyKind::kSeveriFastBz:
+        return prepareSeveriFast(platform, request, /*bzimage=*/true);
+      case StrategyKind::kSeveriFastVmlinux:
+        return prepareSeveriFast(platform, request, /*bzimage=*/false);
+    }
+    panic("unknown strategy kind");
+}
+
+// ===================================================================
+// The template point: capture and restore
+// ===================================================================
+
+/**
+ * Snapshot a prepared cold launch as a template: the plan with its page
+ * digests, guest memory, the steps so far and the result fields. Null
+ * when the memory snapshot is refused (e.g. secret-labelled pages),
+ * which is always safe: this and later launches simply stay cold.
+ */
+std::shared_ptr<const cache::LaunchTemplate>
+captureTemplate(const LaunchRequest &request, const PreparedLaunch &p)
+{
+    SEVF_SPAN("cache.capture", "strategy", strategyName(p.result.strategy));
+    memory::GuestMemory &mem = p.vm->memory();
+
+    // The warm path regenerates the plan regions (premeasured launch
+    // flow) and the VMSAs (live LAUNCH_UPDATE_VMSA) itself, so both are
+    // excluded from the memory snapshot.
+    std::vector<memory::GpaRange> exclude;
+    for (const attest::PreEncryptedRegion &r : p.plan) {
+        exclude.push_back({alignDown(r.gpa, kPageSize),
+                           alignUp(r.gpa + r.bytes.size(), kPageSize)});
+    }
+    if (memory::hasEncryptedState(mem.sevMode())) {
+        exclude.push_back(
+            {layout::kVmsaGpa,
+             layout::kVmsaGpa + u64{request.vm.vcpus} * kPageSize});
+    }
+    Result<memory::MemorySnapshot> snap = mem.captureSnapshot(exclude);
+    if (!snap.isOk()) {
+        return nullptr;
+    }
+
+    auto t = std::make_shared<cache::LaunchTemplate>();
+    for (const attest::PreEncryptedRegion &r : p.plan) {
+        cache::TemplateRegion region;
+        region.name = r.name;
+        region.gpa = r.gpa;
+        region.page_digests = crypto::pageContentDigests(r.bytes);
+        region.plaintext = std::make_shared<const ByteVec>(r.bytes);
+        t->plan.push_back(std::move(region));
+    }
+    t->snapshot = snap.take();
+    t->steps = p.tb.trace().steps();
+    t->measurement = p.result.measurement;
+    t->pre_encrypted_bytes = p.result.pre_encrypted_bytes;
+    t->verifier.pages_validated = p.result.verifier_stats.pages_validated;
+    t->verifier.bytes_copied = p.result.verifier_stats.bytes_copied;
+    t->verifier.bytes_hashed = p.result.verifier_stats.bytes_hashed;
+    t->verifier.pagetable_bytes = p.result.verifier_stats.pagetable_bytes;
+    return t;
+}
+
+/**
+ * The warm prepare: restore @p t into a fresh VM, which then stands
+ * where the cold launch that captured @p t stood at the template point.
+ */
+Result<PreparedLaunch>
+restoreTemplate(Platform &platform, const LaunchRequest &request,
+                StrategyKind kind, const cache::LaunchTemplate &t)
+{
+    SEVF_SPAN("launch_from_template", "strategy", strategyName(kind));
+    PreparedLaunch p(kind);
+    p.result.cache_hit = true;
+    p.vm = newVm(platform, request, kind);
+    memory::GuestMemory &mem = p.vm->memory();
+    // A restore writes a few scattered pages: keep them 4 KiB, since
+    // each touch of a 2 MiB page would fault in a whole huge page.
+    mem.useSmallPages();
+    if (mem.size() != t.snapshot.memory_size) {
+        return errInvalidState(
+            "cached template does not match the VM memory size");
+    }
+
+    if (mem.sevMode() != memory::SevMode::kNone) {
+        // The real PSP launch flow, but with the measurement chain
+        // extended from the cached per-page digests instead of
+        // re-hashing the plan: the plaintext is re-encrypted under THIS
+        // VM's key (ciphertexts are per-VM; digests are not).
+        SEVF_ASSIGN_OR_RETURN(
+            p.handle, request.share_platform_key
+                          ? platform.psp().launchStartShared(
+                                mem, request.vm.sev_policy)
+                          : platform.psp().launchStart(
+                                mem, request.vm.sev_policy));
+        for (const cache::TemplateRegion &r : t.plan) {
+            SEVF_RETURN_IF_ERROR(mem.hostWrite(r.gpa, *r.plaintext));
+            SEVF_RETURN_IF_ERROR(platform.psp().launchUpdateDataPremeasured(
+                p.handle, mem, r.gpa, r.plaintext->size(), r.page_digests));
+        }
+        if (memory::hasEncryptedState(mem.sevMode())) {
+            for (u32 cpu = 0; cpu < request.vm.vcpus; ++cpu) {
+                SEVF_RETURN_IF_ERROR(platform.psp().launchUpdateVmsa(
+                    p.handle, mem, cpu, layout::kVmsaGpa + cpu * kPageSize));
+            }
+        }
+        SEVF_RETURN_IF_ERROR(platform.psp().launchFinish(p.handle));
+        SEVF_ASSIGN_OR_RETURN(p.result.measurement,
+                              platform.psp().launchMeasure(p.handle));
+        // End-to-end integrity gate for the whole cache (template_io.h):
+        // any corruption of plaintext or digests lands here.
+        if (p.result.measurement != t.measurement) {
+            return errInvalidState(
+                "cached template replays to a different launch "
+                "measurement");
+        }
+        // Verified equal to this launch's LAUNCH_MEASURE, so the guest
+        // owner need not re-derive it from the plan.
+        p.expected = t.measurement;
+    }
+
+    // Guest-produced state (verifier outputs, private component copies,
+    // page tables) arrives as copy-on-write views of the template;
+    // pages are re-encrypted under this VM's key only when touched.
+    SEVF_RETURN_IF_ERROR(mem.instantiateSnapshot(t.snapshot));
+
+    // Re-charge the cold boot's virtual-time step prefix verbatim: the
+    // cache saves host wall-clock, never simulated guest time.
+    for (const sim::Step &s : t.steps) {
+        p.tb.replay(s);
+    }
+
+    p.result.pre_encrypted_bytes = t.pre_encrypted_bytes;
+    p.result.verifier_stats.pages_validated = t.verifier.pages_validated;
+    p.result.verifier_stats.bytes_copied = t.verifier.bytes_copied;
+    p.result.verifier_stats.bytes_hashed = t.verifier.bytes_hashed;
+    p.result.verifier_stats.pagetable_bytes = t.verifier.pagetable_bytes;
+    return p;
+}
+
+// ===================================================================
+// The guest tail
+// ===================================================================
+
+/**
+ * The one guest tail, run from the template point by every launch, cold
+ * or warm: Linux boot and init, then remote attestation for an SEV
+ * guest whose kernel has networking (Lupine has none, §6.1). A failed
+ * preparation passes its error through.
+ */
+Result<LaunchResult>
+runGuestTail(Platform &platform, const LaunchRequest &request,
+             Result<PreparedLaunch> prepared)
+{
+    SEVF_ASSIGN_OR_RETURN(PreparedLaunch p, std::move(prepared));
+    const sim::CostModel &cost = platform.cost();
+    const workload::KernelSpec &spec = workload::kernelSpec(request.kernel);
+    memory::GuestMemory &mem = p.vm->memory();
+
+    p.tb.cpu(cost.linuxBoot(spec.base_linux_boot, mem.sevMode()), kLinuxBoot,
+             "linux_boot");
+    p.tb.cpu(cost.initExec(), kLinuxBoot, "exec_init");
+
+    if (request.attest && spec.has_network &&
+        mem.sevMode() != memory::SevMode::kNone) {
+        // The expected-measurement tool replays the data regions plus
+        // the measured VMSAs for SEV-ES/SNP guests.
+        std::optional<attest::VmsaInfo> vmsa;
+        if (memory::hasEncryptedState(mem.sevMode())) {
+            vmsa = attest::VmsaInfo{request.vm.vcpus, request.vm.sev_policy,
+                                    layout::kVmsaGpa};
+        }
+        ByteVec secret = ownerSecret(request.seed);
+        attest::GuestOwner owner(
+            platform.keyServer(),
+            p.expected ? *p.expected
+                       : attest::expectedMeasurement(p.plan, vmsa),
+            secret, request.seed ^ 0x0143);
+        SEVF_ASSIGN_OR_RETURN(
+            guest::AttestationOutcome outcome,
+            runAttestationStage(platform, p.handle, mem, owner,
+                                request.seed));
+        p.tb.cpu(cost.attestGuest(), kAttestation, "guest_report_request");
+        p.tb.psp(cost.pspReport(), kAttestation, "psp_report");
+        p.tb.net(cost.attestNetwork(), kAttestation, "owner_round_trip");
+        p.result.attested = true;
+        p.result.provisioned_secret_bytes = outcome.secret_size;
+    }
+
+    if (p.result.cache_hit) {
+        // Sampled here rather than inside GuestMemory: materialization
+        // runs on TCB-reachable read paths, where the obs layer must not
+        // be called (tools/tcb-baseline.json).
+        obs::kCowPagesMaterialized.add(mem.cowMaterializedCount());
+    }
+    if (request.keep_vm) {
+        p.result.vm = std::move(p.vm);
+    }
+    p.result.trace = p.tb.take();
+    return std::move(p.result);
+}
+
+void
+observeLaunchSim(const LaunchResult &result)
+{
+    obs::kLaunchSimNs.observe(static_cast<u64>(result.trace.total().ns()));
+}
 
 } // namespace
 
@@ -827,15 +860,22 @@ LaunchResult::bootTime() const
     return trace.total() - trace.phaseTotal(sim::phase::kAttestation);
 }
 
-namespace {
-
-void
-observeLaunchSim(const LaunchResult &result)
+Status
+checkLaunchRequest(const LaunchRequest &request)
 {
-    obs::kLaunchSimNs.observe(static_cast<u64>(result.trace.total().ns()));
+    if (!(request.scale > 0.0 && request.scale <= 1.0)) {
+        return errInvalidArgument(
+            "launch request: scale must be in (0, 1], got " +
+            std::to_string(request.scale));
+    }
+    if (request.vm.vcpus < 1 || request.vm.vcpus > vmm::kMaxMptableVcpus) {
+        return errInvalidArgument(
+            "launch request: vcpus must be in [1, " +
+            std::to_string(vmm::kMaxMptableVcpus) + "], got " +
+            std::to_string(request.vm.vcpus));
+    }
+    return Status::ok();
 }
-
-} // namespace
 
 cache::LaunchKey
 buildLaunchKey(const Platform &platform, const LaunchRequest &request,
@@ -877,194 +917,30 @@ buildLaunchKey(const Platform &platform, const LaunchRequest &request,
     return kb.build();
 }
 
-void
-BootStrategy::maybeCaptureTemplate(
-    const LaunchRequest &request, vmm::MicroVm &vm, const TraceBuilder &tb,
-    const std::vector<attest::PreEncryptedRegion> &plan,
-    const LaunchResult &result, bool tail_in_steps)
-{
-    if (!claim_.armed) {
-        return;
-    }
-    SEVF_SPAN("cache.capture", "strategy", strategyName(kind()));
-
-    // The warm path regenerates the plan regions (premeasured launch
-    // flow) and the VMSAs (live LAUNCH_UPDATE_VMSA) itself, so both are
-    // excluded from the memory snapshot.
-    std::vector<memory::GpaRange> exclude;
-    for (const attest::PreEncryptedRegion &r : plan) {
-        exclude.push_back({alignDown(r.gpa, kPageSize),
-                           alignUp(r.gpa + r.bytes.size(), kPageSize)});
-    }
-    if (memory::hasEncryptedState(vm.memory().sevMode())) {
-        exclude.push_back({layout::kVmsaGpa,
-                           layout::kVmsaGpa +
-                               u64{request.vm.vcpus} * kPageSize});
-    }
-    Result<memory::MemorySnapshot> snap =
-        vm.memory().captureSnapshot(exclude);
-    if (!snap.isOk()) {
-        // Refusing to cache (e.g. secret-labelled pages) is always
-        // safe: this and future launches simply stay cold.
-        return;
-    }
-
-    auto t = std::make_shared<cache::LaunchTemplate>();
-    for (const attest::PreEncryptedRegion &r : plan) {
-        cache::TemplateRegion region;
-        region.name = r.name;
-        region.gpa = r.gpa;
-        region.page_digests = crypto::pageContentDigests(r.bytes);
-        region.plaintext = std::make_shared<const ByteVec>(r.bytes);
-        t->plan.push_back(std::move(region));
-    }
-    t->snapshot = snap.take();
-    t->steps = tb.trace().steps();
-    t->tail_in_steps = tail_in_steps;
-    t->measurement = result.measurement;
-    t->pre_encrypted_bytes = result.pre_encrypted_bytes;
-    t->verifier.pages_validated = result.verifier_stats.pages_validated;
-    t->verifier.bytes_copied = result.verifier_stats.bytes_copied;
-    t->verifier.bytes_hashed = result.verifier_stats.bytes_hashed;
-    t->verifier.pagetable_bytes = result.verifier_stats.pagetable_bytes;
-    claim_.built = std::move(t);
-}
-
 Result<LaunchResult>
-BootStrategy::launchFromTemplate(Platform &platform,
-                                 const LaunchRequest &request,
-                                 const cache::LaunchTemplate &t)
+BootStrategy::launch(Platform &platform, const LaunchRequest &request) const
 {
-    SEVF_SPAN("launch_from_template", "strategy", strategyName(kind()));
-    LaunchResult result;
-    result.strategy = kind();
-    result.cache_hit = true;
-    TraceBuilder tb(result.timeline);
-
-    const bool sev = kind() != StrategyKind::kStockFirecracker;
-    auto vm_ptr =
-        sev ? std::make_shared<vmm::MicroVm>(
-                  request.vm,
-                  platform.allocateSpaWindow(request.vm.memory_size),
-                  platform.psp().allocateAsid(), request.sev_mode)
-            : std::make_shared<vmm::MicroVm>(
-                  request.vm,
-                  platform.allocateSpaWindow(request.vm.memory_size),
-                  /*asid=*/0);
-    vmm::MicroVm &vm = *vm_ptr;
-    // A restore writes a few scattered pages: keep them 4 KiB, since
-    // each touch of a 2 MiB page would fault in a whole huge page.
-    vm.memory().useSmallPages();
-    if (vm.memory().size() != t.snapshot.memory_size) {
-        return errInvalidState(
-            "cached template does not match the VM memory size");
-    }
-
-    psp::GuestHandle handle = 0;
-    if (sev) {
-        // The real PSP launch flow, but with the measurement chain
-        // extended from the cached per-page digests instead of
-        // re-hashing the plan: the plaintext is re-encrypted under THIS
-        // VM's key (ciphertexts are per-VM; digests are not).
-        Result<psp::GuestHandle> started =
-            request.share_platform_key
-                ? platform.psp().launchStartShared(vm.memory(),
-                                                   request.vm.sev_policy)
-                : platform.psp().launchStart(vm.memory(),
-                                             request.vm.sev_policy);
-        if (!started.isOk()) {
-            return started.status();
-        }
-        handle = *started;
-        for (const cache::TemplateRegion &r : t.plan) {
-            SEVF_RETURN_IF_ERROR(
-                vm.memory().hostWrite(r.gpa, *r.plaintext));
-            SEVF_RETURN_IF_ERROR(
-                platform.psp().launchUpdateDataPremeasured(
-                    handle, vm.memory(), r.gpa, r.plaintext->size(),
-                    r.page_digests));
-        }
-        if (memory::hasEncryptedState(vm.memory().sevMode())) {
-            for (u32 cpu = 0; cpu < request.vm.vcpus; ++cpu) {
-                SEVF_RETURN_IF_ERROR(platform.psp().launchUpdateVmsa(
-                    handle, vm.memory(), cpu,
-                    layout::kVmsaGpa + cpu * kPageSize));
-            }
-        }
-        SEVF_RETURN_IF_ERROR(platform.psp().launchFinish(handle));
-        Result<crypto::Sha256Digest> measured =
-            platform.psp().launchMeasure(handle);
-        if (!measured.isOk()) {
-            return measured.status();
-        }
-        result.measurement = *measured;
-        // End-to-end integrity gate for the whole cache (template_io.h):
-        // any corruption of plaintext or digests lands here.
-        if (result.measurement != t.measurement) {
-            return errInvalidState(
-                "cached template replays to a different launch "
-                "measurement");
-        }
-    }
-
-    // Guest-produced state (verifier outputs, private component copies,
-    // page tables) arrives as copy-on-write views of the template;
-    // pages are re-encrypted under this VM's key only when touched.
-    SEVF_RETURN_IF_ERROR(vm.memory().instantiateSnapshot(t.snapshot));
-
-    // Re-charge the cold boot's virtual-time step prefix verbatim: the
-    // cache saves host wall-clock, never simulated guest time.
-    for (const sim::Step &s : t.steps) {
-        tb.replay(s);
-    }
-
-    if (!t.tail_in_steps) {
-        Result<GuestBootTail> tail =
-            runGuestTail(platform, request, tb, vm.memory(), handle, {},
-                         t.measurement);
-        if (!tail.isOk()) {
-            return tail.status();
-        }
-        result.attested = tail->attested;
-        result.provisioned_secret_bytes = tail->secret_bytes;
-    }
-
-    result.pre_encrypted_bytes = t.pre_encrypted_bytes;
-    result.verifier_stats.pages_validated = t.verifier.pages_validated;
-    result.verifier_stats.bytes_copied = t.verifier.bytes_copied;
-    result.verifier_stats.bytes_hashed = t.verifier.bytes_hashed;
-    result.verifier_stats.pagetable_bytes = t.verifier.pagetable_bytes;
-    // Sampled here rather than inside GuestMemory: materialization runs
-    // on TCB-reachable read paths, where the obs layer must not be
-    // called (tools/tcb-baseline.json).
-    obs::kCowPagesMaterialized.add(vm.memory().cowMaterializedCount());
-    if (request.keep_vm) {
-        result.vm = vm_ptr;
-    }
-    result.trace = tb.take();
-    return result;
-}
-
-Result<LaunchResult>
-BootStrategy::launch(Platform &platform, const LaunchRequest &request)
-{
+    // A bad request is refused before it touches any VM, cache or PSP
+    // state.
+    SEVF_RETURN_IF_ERROR(checkLaunchRequest(request));
     // RAII: the previous knob value is restored when the launch
     // returns, so nested strategy invocations compose. 0 means serial.
     base::ScopedHostThreads scope(request.host_threads);
-    SEVF_SPAN("launch", "strategy", strategyName(kind()));
-    obs::kLaunchTotal.add(strategyName(kind()));
+    SEVF_SPAN("launch", "strategy", strategyName(kind_));
+    obs::kLaunchTotal.add(strategyName(kind_));
 
     // Template-cache dispatch. KASLR launches draw per-launch entropy
     // by design and always boot cold.
-    claim_ = TemplateClaim{};
     std::optional<cache::LaunchKey> key;
+    bool claimed = false;
     if (request.use_template_cache && !request.guest_kaslr) {
-        key = buildLaunchKey(platform, request, kind());
+        key = buildLaunchKey(platform, request, kind_);
         cache::TemplateCache::Lookup hit =
             platform.templateCache().beginLookup(*key);
         if (hit.tmpl != nullptr) {
-            Result<LaunchResult> warm =
-                launchFromTemplate(platform, request, *hit.tmpl);
+            Result<LaunchResult> warm = runGuestTail(
+                platform, request,
+                restoreTemplate(platform, request, kind_, *hit.tmpl));
             if (warm.isOk()) {
                 observeLaunchSim(*warm);
                 return warm;
@@ -1075,24 +951,30 @@ BootStrategy::launch(Platform &platform, const LaunchRequest &request)
             // later launch rebuilds. Never abort: the cold path
             // produces the authoritative measurement regardless.
             SEVF_SPAN("cache.poison_fallback", "strategy",
-                      strategyName(kind()));
+                      strategyName(kind_));
             warn("warm template replay failed (",
                  warm.status().toString(),
                  "); invalidating template and falling back to cold boot");
             platform.templateCache().invalidate(*key);
-        } else if (hit.claimed) {
-            claim_.armed = true;
         }
+        claimed = hit.claimed;
     }
 
-    Result<LaunchResult> result = doLaunch(platform, request);
-    if (claim_.armed) {
-        if (result.isOk() && claim_.built != nullptr) {
-            platform.templateCache().publish(*key, claim_.built);
+    Result<PreparedLaunch> cold = prepare(platform, request, kind_);
+    std::shared_ptr<const cache::LaunchTemplate> built;
+    if (claimed && cold.isOk()) {
+        built = captureTemplate(request, *cold);
+    }
+    Result<LaunchResult> result =
+        runGuestTail(platform, request, std::move(cold));
+    if (claimed) {
+        // Published only when the whole launch, tail included,
+        // succeeded; otherwise the claim is released for a later build.
+        if (result.isOk() && built != nullptr) {
+            platform.templateCache().publish(*key, std::move(built));
         } else {
             platform.templateCache().abandon(*key);
         }
-        claim_ = TemplateClaim{};
     }
     if (result.isOk()) {
         observeLaunchSim(*result);
@@ -1103,19 +985,7 @@ BootStrategy::launch(Platform &platform, const LaunchRequest &request)
 std::unique_ptr<BootStrategy>
 makeStrategy(StrategyKind kind)
 {
-    switch (kind) {
-      case StrategyKind::kStockFirecracker:
-        return std::make_unique<StockFirecrackerStrategy>();
-      case StrategyKind::kQemuOvmfSev:
-        return std::make_unique<QemuOvmfStrategy>();
-      case StrategyKind::kSevDirectBoot:
-        return std::make_unique<SevDirectBootStrategy>();
-      case StrategyKind::kSeveriFastBz:
-        return std::make_unique<SeveriFastStrategy>(/*bzimage=*/true);
-      case StrategyKind::kSeveriFastVmlinux:
-        return std::make_unique<SeveriFastStrategy>(/*bzimage=*/false);
-    }
-    panic("unknown strategy kind");
+    return std::make_unique<BootStrategy>(kind);
 }
 
 } // namespace sevf::core

@@ -1,14 +1,15 @@
 /**
  * @file
- * Internal helper: accumulates BootTrace steps and mirrors them onto
- * the debug-port timeline with running virtual timestamps.
+ * Internal helper: accumulates BootTrace steps with running virtual
+ * timestamps.
  *
  * This is also the sim-clock tap for the observability layer: every
  * charged step is reported to obs (span trace + per-kind/per-phase
  * metrics) with its virtual start time, so a Chrome trace of a launch
  * shows the exact step sequence the BootTrace records. Each builder
- * draws a fresh obs launch id at construction; strategies create one
- * builder per launch, so launch == builder here.
+ * draws a fresh obs launch id at construction; each launch creates one
+ * builder, which travels with it from the prepare step through the
+ * guest tail, so launch == builder here.
  */
 #ifndef SEVF_CORE_TRACE_BUILDER_H_
 #define SEVF_CORE_TRACE_BUILDER_H_
@@ -18,16 +19,14 @@
 #include "obs/families.h"
 #include "obs/span.h"
 #include "sim/trace.h"
-#include "vmm/debug_port.h"
 
 namespace sevf::core {
 
 class TraceBuilder
 {
   public:
-    explicit TraceBuilder(vmm::DebugPort &port)
-        : port_(port),
-          obs_launch_(obs::tracingEnabled() ? obs::newLaunchId() : 0)
+    TraceBuilder()
+        : obs_launch_(obs::tracingEnabled() ? obs::newLaunchId() : 0)
     {
     }
 
@@ -51,23 +50,21 @@ class TraceBuilder
 
     /**
      * Re-charge a step recorded by a previous launch (the template-cache
-     * warm path). Advances virtual time, mirrors the debug-port
-     * timeline, and reports to obs exactly like a live add(), so a
-     * replayed launch produces a bit-identical BootTrace and timeline:
-     * the cache saves host wall-clock, never simulated time — the PSP
-     * and guest work it models still happens per-VM in reality.
+     * warm path). Advances virtual time and reports to obs exactly
+     * like a live add(), so a replayed launch produces a bit-identical
+     * BootTrace: the cache saves host wall-clock, never simulated time
+     * — the PSP and guest work it models still happens per-VM in
+     * reality.
      */
     void
     replay(const sim::Step &s)
     {
         sim::TimePoint start = now_;
         now_ += s.duration;
-        port_.record(now_, s.label);
         observe(s.kind, s.duration, s.phase.c_str(), s.label, start);
         trace_.addStep(s);
     }
 
-    sim::TimePoint now() const { return now_; }
     sim::BootTrace take() { return std::move(trace_); }
     /** Steps charged so far (template capture reads the prefix). */
     const sim::BootTrace &trace() const { return trace_; }
@@ -107,12 +104,10 @@ class TraceBuilder
     {
         sim::TimePoint start = now_;
         now_ += d;
-        port_.record(now_, label);
         observe(kind, d, phase, label, start);
         trace_.add(kind, d, phase, std::move(label));
     }
 
-    vmm::DebugPort &port_;
     sim::BootTrace trace_;
     sim::TimePoint now_;
     u64 obs_launch_ = 0;

@@ -143,7 +143,7 @@ Psp::observe(check::PspCommand cmd, GuestHandle handle,
 }
 
 Result<GuestHandle>
-Psp::doLaunchStart(memory::GuestMemory &mem, u32 policy, bool shared)
+Psp::execLaunchStart(memory::GuestMemory &mem, u32 policy, bool shared)
 {
     if (mem.sevEnabled()) {
         return errInvalidState("guest memory already has an encryption key");
@@ -208,7 +208,7 @@ Psp::launchStart(memory::GuestMemory &mem, u32 policy)
     Result<GuestHandle> r = fault::retryResult(
         retry_policy_, "launch_start", [&]() -> Result<GuestHandle> {
             SEVF_RETURN_IF_ERROR(submitFault("LAUNCH_START"));
-            return doLaunchStart(mem, policy, /*shared=*/false);
+            return execLaunchStart(mem, policy, /*shared=*/false);
         });
     observe(check::PspCommand::kLaunchStart, r.isOk() ? *r : 0,
             r.errorOr(Status::ok()));
@@ -223,7 +223,7 @@ Psp::launchStartShared(memory::GuestMemory &mem, u32 policy)
     Result<GuestHandle> r = fault::retryResult(
         retry_policy_, "launch_start", [&]() -> Result<GuestHandle> {
             SEVF_RETURN_IF_ERROR(submitFault("LAUNCH_START"));
-            return doLaunchStart(mem, policy, /*shared=*/true);
+            return execLaunchStart(mem, policy, /*shared=*/true);
         });
     observe(check::PspCommand::kLaunchStart, r.isOk() ? *r : 0,
             r.errorOr(Status::ok()));
@@ -231,8 +231,8 @@ Psp::launchStartShared(memory::GuestMemory &mem, u32 policy)
 }
 
 Status
-Psp::doLaunchUpdateData(GuestHandle handle, memory::GuestMemory &mem, Gpa gpa,
-                        u64 len)
+Psp::execLaunchUpdateData(GuestHandle handle, memory::GuestMemory &mem,
+                          Gpa gpa, u64 len)
 {
     SEVF_ASSIGN_OR_RETURN(GuestContext *ctx, contextFor(handle));
     if (ctx->state != LaunchState::kStarted) {
@@ -257,7 +257,7 @@ Psp::doLaunchUpdateData(GuestHandle handle, memory::GuestMemory &mem, Gpa gpa,
 }
 
 Status
-Psp::doLaunchUpdateDataPremeasured(
+Psp::execLaunchUpdateDataPremeasured(
     GuestHandle handle, memory::GuestMemory &mem, Gpa gpa, u64 len,
     const std::vector<crypto::Sha256Digest> &page_digests)
 {
@@ -291,8 +291,8 @@ Psp::doLaunchUpdateDataPremeasured(
 }
 
 Status
-Psp::doLaunchUpdateVmsa(GuestHandle handle, memory::GuestMemory &mem,
-                        u32 vcpu_index, Gpa vmsa_gpa)
+Psp::execLaunchUpdateVmsa(GuestHandle handle, memory::GuestMemory &mem,
+                          u32 vcpu_index, Gpa vmsa_gpa)
 {
     SEVF_ASSIGN_OR_RETURN(GuestContext *ctx, contextFor(handle));
     if (ctx->state != LaunchState::kStarted) {
@@ -312,7 +312,7 @@ Psp::doLaunchUpdateVmsa(GuestHandle handle, memory::GuestMemory &mem,
 }
 
 Result<crypto::Sha256Digest>
-Psp::doLaunchMeasure(GuestHandle handle) const
+Psp::execLaunchMeasure(GuestHandle handle) const
 {
     SEVF_ASSIGN_OR_RETURN(const GuestContext *ctx, contextFor(handle));
     if (ctx->measured_pages == 0) {
@@ -324,7 +324,7 @@ Psp::doLaunchMeasure(GuestHandle handle) const
 }
 
 Status
-Psp::doLaunchFinish(GuestHandle handle)
+Psp::execLaunchFinish(GuestHandle handle)
 {
     SEVF_ASSIGN_OR_RETURN(GuestContext *ctx, contextFor(handle));
     if (ctx->state != LaunchState::kStarted) {
@@ -335,8 +335,8 @@ Psp::doLaunchFinish(GuestHandle handle)
 }
 
 Result<AttestationReport>
-Psp::doGuestRequestReport(GuestHandle handle,
-                          const ReportData &report_data) const
+Psp::execGuestRequestReport(GuestHandle handle,
+                            const ReportData &report_data) const
 {
     SEVF_ASSIGN_OR_RETURN(const GuestContext *ctx, contextFor(handle));
     if (ctx->state != LaunchState::kFinished) {
@@ -366,7 +366,7 @@ Psp::launchUpdateData(GuestHandle handle, memory::GuestMemory &mem, Gpa gpa,
     SEVF_SPAN("psp.launch_update_data", "bytes", len);
     Status s = fault::retryStatus(retry_policy_, "launch_update_data", [&] {
         SEVF_RETURN_IF_ERROR(submitFault("LAUNCH_UPDATE_DATA"));
-        return doLaunchUpdateData(handle, mem, gpa, len);
+        return execLaunchUpdateData(handle, mem, gpa, len);
     });
     observe(check::PspCommand::kLaunchUpdateData, handle, s);
     return s;
@@ -382,8 +382,8 @@ Psp::launchUpdateDataPremeasured(
     Status s = fault::retryStatus(
         retry_policy_, "launch_update_data_premeasured", [&] {
             SEVF_RETURN_IF_ERROR(submitFault("LAUNCH_UPDATE_DATA"));
-            return doLaunchUpdateDataPremeasured(handle, mem, gpa, len,
-                                                 page_digests);
+            return execLaunchUpdateDataPremeasured(handle, mem, gpa, len,
+                                                   page_digests);
         });
     // The GCTX automaton sees an ordinary LAUNCH_UPDATE_DATA: where the
     // content digests came from is not a protocol-level distinction.
@@ -399,7 +399,7 @@ Psp::launchUpdateVmsa(GuestHandle handle, memory::GuestMemory &mem,
     SEVF_SPAN("psp.launch_update_vmsa");
     Status s = fault::retryStatus(retry_policy_, "launch_update_vmsa", [&] {
         SEVF_RETURN_IF_ERROR(submitFault("LAUNCH_UPDATE_VMSA"));
-        return doLaunchUpdateVmsa(handle, mem, vcpu_index, vmsa_gpa);
+        return execLaunchUpdateVmsa(handle, mem, vcpu_index, vmsa_gpa);
     });
     observe(check::PspCommand::kLaunchUpdateVmsa, handle, s);
     return s;
@@ -414,7 +414,7 @@ Psp::launchMeasure(GuestHandle handle) const
         retry_policy_, "launch_measure",
         [&]() -> Result<crypto::Sha256Digest> {
             SEVF_RETURN_IF_ERROR(submitFault("LAUNCH_MEASURE"));
-            return doLaunchMeasure(handle);
+            return execLaunchMeasure(handle);
         });
     observe(check::PspCommand::kLaunchMeasure, handle,
             r.errorOr(Status::ok()));
@@ -428,7 +428,7 @@ Psp::launchFinish(GuestHandle handle)
     SEVF_SPAN("psp.launch_finish");
     Status s = fault::retryStatus(retry_policy_, "launch_finish", [&] {
         SEVF_RETURN_IF_ERROR(submitFault("LAUNCH_FINISH"));
-        return doLaunchFinish(handle);
+        return execLaunchFinish(handle);
     });
     observe(check::PspCommand::kLaunchFinish, handle, s);
     return s;
@@ -440,7 +440,8 @@ Psp::guestRequestReport(GuestHandle handle,
 {
     TicketGate::Turn turn(gate_);
     SEVF_SPAN("psp.guest_request_report");
-    Result<AttestationReport> r = doGuestRequestReport(handle, report_data);
+    Result<AttestationReport> r =
+        execGuestRequestReport(handle, report_data);
     observe(check::PspCommand::kReportRequest, handle,
             r.errorOr(Status::ok()));
     return r;

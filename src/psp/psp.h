@@ -208,18 +208,18 @@ class Psp
     Result<GuestContext *> contextFor(GuestHandle handle);
     Result<const GuestContext *> contextFor(GuestHandle handle) const;
 
-    Result<GuestHandle> doLaunchStart(memory::GuestMemory &mem, u32 policy,
-                                      bool shared);
-    Status doLaunchUpdateData(GuestHandle handle, memory::GuestMemory &mem,
-                              Gpa gpa, u64 len);
-    Status doLaunchUpdateDataPremeasured(
+    Result<GuestHandle> execLaunchStart(memory::GuestMemory &mem, u32 policy,
+                                        bool shared);
+    Status execLaunchUpdateData(GuestHandle handle, memory::GuestMemory &mem,
+                                Gpa gpa, u64 len);
+    Status execLaunchUpdateDataPremeasured(
         GuestHandle handle, memory::GuestMemory &mem, Gpa gpa, u64 len,
         const std::vector<crypto::Sha256Digest> &page_digests);
-    Status doLaunchUpdateVmsa(GuestHandle handle, memory::GuestMemory &mem,
-                              u32 vcpu_index, Gpa vmsa_gpa);
-    Result<crypto::Sha256Digest> doLaunchMeasure(GuestHandle handle) const;
-    Status doLaunchFinish(GuestHandle handle);
-    Result<AttestationReport> doGuestRequestReport(
+    Status execLaunchUpdateVmsa(GuestHandle handle, memory::GuestMemory &mem,
+                                u32 vcpu_index, Gpa vmsa_gpa);
+    Result<crypto::Sha256Digest> execLaunchMeasure(GuestHandle handle) const;
+    Status execLaunchFinish(GuestHandle handle);
+    Result<AttestationReport> execGuestRequestReport(
         GuestHandle handle, const ReportData &report_data) const;
 
     /** Record @p verdict for @p cmd and run the live conformance check. */

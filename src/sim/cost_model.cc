@@ -223,17 +223,6 @@ CostModel::ovmfVerify(u64 bytes) const
 }
 
 Duration
-CostModel::linuxBoot(Duration base_boot, bool snp) const
-{
-    if (!snp) {
-        return base_boot;
-    }
-    return Duration::fromMsF(base_boot.toMsF() *
-                                 p_.snp_linux_boot_multiplier +
-                             p_.snp_guest_fixed_ms);
-}
-
-Duration
 CostModel::linuxBoot(Duration base_boot, memory::SevMode mode) const
 {
     switch (mode) {
@@ -248,7 +237,9 @@ CostModel::linuxBoot(Duration base_boot, memory::SevMode mode) const
                                      p_.sev_es_linux_boot_multiplier +
                                  p_.sev_es_guest_fixed_ms);
       case memory::SevMode::kSevSnp:
-        return linuxBoot(base_boot, /*snp=*/true);
+        return Duration::fromMsF(base_boot.toMsF() *
+                                     p_.snp_linux_boot_multiplier +
+                                 p_.snp_guest_fixed_ms);
     }
     return base_boot;
 }

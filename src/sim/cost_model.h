@@ -85,11 +85,10 @@ class CostModel
     // -- Guest --
 
     /**
-     * Guest kernel boot (decompressed-kernel entry to init), given the
-     * config's calibrated non-SEV boot time.
+     * Guest kernel boot (decompressed-kernel entry to init) under SEV
+     * generation @p mode, given the config's calibrated non-SEV boot
+     * time (returned as is for kNone).
      */
-    Duration linuxBoot(Duration base_boot, bool snp) const;
-    /** Per-generation variant. */
     Duration linuxBoot(Duration base_boot, memory::SevMode mode) const;
     Duration initExec() const;
 

@@ -2,27 +2,7 @@
 
 #include <algorithm>
 
-#include "base/bytes.h"
-
 namespace sevf::sim {
-
-void
-BootTrace::addAnnotated(StepKind kind, Duration d, std::string phase,
-                        std::string label, ByteSpan payload)
-{
-    taint::TaintSet labels = taint::guardSink(
-        taint::Sink::kTraceAnnotation, payload,
-        "BootTrace annotation on step '" + label + "'");
-    std::string annotation;
-    if (labels != taint::kNone) {
-        annotation = "<redacted " + std::to_string(payload.size()) +
-                     " secret bytes: " + taint::describeLabels(labels) + ">";
-    } else {
-        annotation = toHex(payload);
-    }
-    steps_.push_back({kind, d, std::move(phase), std::move(label),
-                      std::move(annotation)});
-}
 
 const char *
 stepKindName(StepKind kind)

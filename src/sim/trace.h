@@ -16,7 +16,6 @@
 
 #include "base/types.h"
 #include "sim/time.h"
-#include "taint/taint.h"
 
 namespace sevf::sim {
 
@@ -44,9 +43,8 @@ inline constexpr const char *kAttestation = "attestation";
 struct Step {
     StepKind kind;
     Duration duration;
-    std::string phase;      //!< one of sim::phase::*
-    std::string label;      //!< fine-grained description ("hash kernel", ...)
-    std::string annotation; //!< optional data payload (hex, or redacted)
+    std::string phase; //!< one of sim::phase::*
+    std::string label; //!< fine-grained description ("hash kernel", ...)
 };
 
 /**
@@ -60,25 +58,11 @@ class BootTrace
     void
     add(StepKind kind, Duration d, std::string phase, std::string label)
     {
-        steps_.push_back(
-            {kind, d, std::move(phase), std::move(label), {}});
+        steps_.push_back({kind, d, std::move(phase), std::move(label)});
     }
 
-    /**
-     * Append a step annotated with a data payload. Traces are written to
-     * host-side logs and figures, so the payload passes through the
-     * taint sink guard: labelled bytes are redacted from the annotation
-     * (and panic outright under taint::Mode::kEnforce).
-     */
-    void addAnnotated(StepKind kind, Duration d, std::string phase,
-                      std::string label, ByteSpan payload);
-
-    /**
-     * Append an already-built step verbatim (the template-cache replay
-     * path). Any annotation it carries was produced by addAnnotated on
-     * the cold boot that built the template, so it already passed the
-     * taint sink guard at record time.
-     */
+    /** Append an already-built step verbatim (the template-cache replay
+     *  path). */
     void addStep(Step step) { steps_.push_back(std::move(step)); }
 
     const std::vector<Step> &steps() const { return steps_; }

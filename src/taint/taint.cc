@@ -144,8 +144,6 @@ sinkName(Sink sink)
       case Sink::kHostWrite: return "host-write";
       case Sink::kSharedPageWrite: return "shared-page-write";
       case Sink::kFwCfg: return "fw_cfg";
-      case Sink::kDebugPort: return "debug-port";
-      case Sink::kTraceAnnotation: return "trace-annotation";
       case Sink::kReportField: return "report-field";
     }
     return "unknown";

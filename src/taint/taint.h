@@ -9,9 +9,8 @@
  * argument checkable at runtime: secret bytes are labelled at their
  * source, labels propagate through the crypto engines and guest-memory
  * pages, and every host-visible sink (host writes into shared pages, the
- * fw_cfg staging window, the debug port, trace annotations, public
- * attestation-report fields) guards against labelled bytes arriving
- * without an explicit declassify().
+ * fw_cfg staging window, public attestation-report fields) guards
+ * against labelled bytes arriving without an explicit declassify().
  *
  * Granularity and lifetime rules:
  *  - Labels live in a process-global interval map over host addresses.
@@ -27,7 +26,7 @@
  *    are recorded in an audit log.
  *
  * Modes: kOff (hooks return immediately), kRecord (violations are
- * logged and sinks redact but proceed — the default), kEnforce (a
+ * logged and the flow proceeds — the default), kEnforce (a
  * violation is an immediate panic, the same idiom as the live launch
  * protocol monitor). Building with -DSEVF_TAINT=ON makes kEnforce the
  * process default so the whole suite runs enforced.
@@ -82,7 +81,7 @@ std::string describeLabels(TaintSet labels);
 
 enum class Mode {
     kOff,     //!< hooks compiled in but inert
-    kRecord,  //!< violations recorded, sinks redact and proceed
+    kRecord,  //!< violations recorded, the flow proceeds
     kEnforce, //!< violation == panic (live-monitor idiom)
 };
 
@@ -107,8 +106,6 @@ enum class Sink {
     kHostWrite,       //!< VMM write into guest memory (plaintext path)
     kSharedPageWrite, //!< guest write through a shared (C-bit=0) mapping
     kFwCfg,           //!< fw_cfg staging window item
-    kDebugPort,       //!< port-0x80 timeline payload
-    kTraceAnnotation, //!< boot-trace step annotation
     kReportField,     //!< public attestation-report field
 };
 
@@ -176,7 +173,7 @@ struct Violation {
  * Guard a sink: returns the labels found on [p, p+len) (kNone when the
  * flow is clean or the mode is kOff). On a labelled flow, kEnforce
  * panics with an actionable diagnostic; kRecord appends a Violation the
- * caller/tests can inspect, and the caller is expected to redact.
+ * caller/tests can inspect.
  */
 TaintSet guardSink(Sink sink, const void *p, u64 len,
                    std::string_view context);

@@ -13,6 +13,13 @@
 namespace sevf::vmm {
 
 /**
+ * The most vCPUs one table can number: the CPUs take APIC ids 0 to
+ * vcpus-1 and the IO-APIC takes id vcpus, all 8-bit and below the
+ * broadcast id 0xFF. core::checkLaunchRequest refuses larger VMs.
+ */
+inline constexpr u32 kMaxMptableVcpus = 254;
+
+/**
  * Build the MP floating pointer + configuration table for @p vcpus
  * CPUs: processor entries, one ISA bus, the IO-APIC, 24 I/O interrupt
  * entries and 2 local interrupt entries, with valid checksums.

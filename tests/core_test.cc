@@ -6,6 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <thread>
+#include <vector>
+
+#include "cache/template_cache.h"
 #include "core/launch.h"
 #include "core/report.h"
 #include "workload/synthetic.h"
@@ -40,7 +45,6 @@ TEST_P(StrategyTest, LaunchesAwsKernel)
 
     EXPECT_GT(result->totalTime(), sim::Duration::zero());
     EXPECT_GE(result->totalTime(), result->bootTime());
-    EXPECT_FALSE(result->timeline.events().empty());
     // Every strategy ends in the Linux boot phase.
     EXPECT_GT(result->trace.phaseTotal(sim::phase::kLinuxBoot),
               sim::Duration::zero());
@@ -336,6 +340,169 @@ TEST(StrategyNames, AllDistinct)
                  "severifast-bzimage");
     EXPECT_STREQ(strategyName(StrategyKind::kStockFirecracker),
                  "stock-firecracker");
+}
+
+TEST(ReportTest, TimelineStampsEachStepWithItsEndTime)
+{
+    sim::BootTrace trace;
+    trace.add(sim::StepKind::kCpu, sim::Duration::millis(1), sim::phase::kVmm,
+              "vmm_start");
+    trace.add(sim::StepKind::kPsp, sim::Duration::millis(4), sim::phase::kVmm,
+              "enter_guest");
+    EXPECT_EQ(renderTimeline(trace), "[     1.000ms] vmm_start\n"
+                                     "[     5.000ms] enter_guest\n");
+    EXPECT_EQ(renderTimeline(sim::BootTrace{}), "");
+}
+
+/** What a launch served from the cache must reproduce: its outcome,
+ *  its counters and every step. */
+void
+expectSameLaunch(const LaunchResult &a, const LaunchResult &b)
+{
+    EXPECT_EQ(a.measurement, b.measurement);
+    EXPECT_EQ(a.attested, b.attested);
+    EXPECT_EQ(a.provisioned_secret_bytes, b.provisioned_secret_bytes);
+    EXPECT_EQ(a.pre_encrypted_bytes, b.pre_encrypted_bytes);
+    EXPECT_EQ(a.verifier_stats.pages_validated,
+              b.verifier_stats.pages_validated);
+    EXPECT_EQ(a.verifier_stats.bytes_hashed, b.verifier_stats.bytes_hashed);
+    ASSERT_EQ(a.trace.steps().size(), b.trace.steps().size());
+    for (std::size_t i = 0; i < a.trace.steps().size(); ++i) {
+        const sim::Step &sa = a.trace.steps()[i];
+        const sim::Step &sb = b.trace.steps()[i];
+        EXPECT_EQ(sa.kind, sb.kind) << "step " << i;
+        EXPECT_EQ(sa.duration.ns(), sb.duration.ns()) << "step " << i;
+        EXPECT_EQ(sa.phase, sb.phase) << "step " << i;
+        EXPECT_EQ(sa.label, sb.label) << "step " << i;
+    }
+}
+
+TEST(ConcurrentLaunchTest, OneStrategyObjectServesConcurrentLaunches)
+{
+    // One object driven from several threads over two template keys (1
+    // and 2 vCPUs), so misses, single-flight waits and hits interleave.
+    // A strategy keeps no per-launch state: every launch must complete
+    // (ctest's TIMEOUT on this binary turns a hang into a failure) and
+    // equal a launch that bypasses the cache.
+    constexpr int kThreads = 4;
+    constexpr int kLaunchesPerThread = 4;
+    Platform platform(sim::CostParams::deterministic());
+    std::unique_ptr<BootStrategy> strategy =
+        makeStrategy(StrategyKind::kSeveriFastBz);
+    auto requestFor = [](u32 vcpus, bool use_cache) {
+        LaunchRequest req = smallRequest(workload::KernelConfig::kAws);
+        req.vm.vcpus = vcpus;
+        req.use_template_cache = use_cache;
+        return req;
+    };
+
+    std::vector<LaunchResult> references;
+    for (u32 vcpus : {1u, 2u}) {
+        Result<LaunchResult> ref =
+            strategy->launch(platform, requestFor(vcpus, false));
+        ASSERT_TRUE(ref.isOk()) << ref.status().toString();
+        references.push_back(ref.take());
+    }
+
+    std::vector<std::vector<Result<LaunchResult>>> results(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kLaunchesPerThread; ++i) {
+                u32 vcpus = 1 + static_cast<u32>((t + i) % 2);
+                results[t].push_back(
+                    strategy->launch(platform, requestFor(vcpus, true)));
+            }
+        });
+    }
+    for (std::thread &thread : threads) {
+        thread.join();
+    }
+
+    for (int t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(results[t].size(), std::size_t{kLaunchesPerThread});
+        for (int i = 0; i < kLaunchesPerThread; ++i) {
+            SCOPED_TRACE("thread " + std::to_string(t) + " launch " +
+                         std::to_string(i));
+            const Result<LaunchResult> &r = results[t][i];
+            ASSERT_TRUE(r.isOk()) << r.status().toString();
+            expectSameLaunch(*r, references[(t + i) % 2]);
+        }
+    }
+    EXPECT_GT(platform.templateCache().stats().hits, 0u);
+}
+
+/** A request at @p scale and @p vcpus, otherwise the small default. */
+LaunchRequest
+checkedRequest(double scale, u32 vcpus, bool use_cache)
+{
+    LaunchRequest req = smallRequest(workload::KernelConfig::kAws);
+    req.scale = scale;
+    req.vm.vcpus = vcpus;
+    req.use_template_cache = use_cache;
+    return req;
+}
+
+TEST(LaunchRequestCheckTest, ScaleAndVcpusOutsideTheirBoundsAreRefused)
+{
+    struct Case {
+        double scale;
+        u32 vcpus;
+    };
+    const Case refused[] = {
+        {0.0, 1},
+        {-kScale, 1},
+        {std::nextafter(1.0, 2.0), 1},
+        {2.0, 1},
+        {std::nan(""), 1},
+        {kScale, 0},
+        {kScale, 255},
+        {kScale, 256},
+        {kScale, 4294967295u},
+    };
+    for (bool use_cache : {true, false}) {
+        for (const Case &c : refused) {
+            SCOPED_TRACE("scale " + std::to_string(c.scale) + " vcpus " +
+                         std::to_string(c.vcpus) + " cache " +
+                         std::to_string(use_cache));
+            LaunchRequest req = checkedRequest(c.scale, c.vcpus, use_cache);
+            EXPECT_EQ(checkLaunchRequest(req).code(),
+                      ErrorCode::kInvalidArgument);
+
+            // Refused before any VM, cache or PSP state exists.
+            Platform platform(sim::CostParams::deterministic());
+            Result<LaunchResult> r =
+                makeStrategy(StrategyKind::kSeveriFastBz)->launch(platform,
+                                                                  req);
+            ASSERT_FALSE(r.isOk());
+            EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+            EXPECT_TRUE(platform.psp().commandLog().records().empty());
+            cache::TemplateCache::Stats stats =
+                platform.templateCache().stats();
+            EXPECT_EQ(stats.hits + stats.misses, 0u);
+        }
+    }
+}
+
+TEST(LaunchRequestCheckTest, ScaleAndVcpusAtTheirBoundsLaunch)
+{
+    // Scale 1.0 builds paper-sized artifacts; the check alone covers it.
+    EXPECT_TRUE(checkLaunchRequest(checkedRequest(1.0, 1, true)).isOk());
+    EXPECT_TRUE(
+        checkLaunchRequest(checkedRequest(std::nextafter(0.0, 1.0), 1, true))
+            .isOk());
+    for (bool use_cache : {true, false}) {
+        for (u32 vcpus : {1u, 254u}) {
+            SCOPED_TRACE("vcpus " + std::to_string(vcpus) + " cache " +
+                         std::to_string(use_cache));
+            Platform platform(sim::CostParams::deterministic());
+            Result<LaunchResult> r =
+                makeStrategy(StrategyKind::kSeveriFastBz)
+                    ->launch(platform, checkedRequest(kScale, vcpus, use_cache));
+            ASSERT_TRUE(r.isOk()) << r.status().toString();
+            EXPECT_TRUE(r->attested);
+        }
+    }
 }
 
 } // namespace

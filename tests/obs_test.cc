@@ -436,8 +436,8 @@ TEST_F(ObsTest, EveryStrategyProducesAFaithfulSpanTree)
             }
         }
 
-        // The two in-guest stages are wall spans named after their sim
-        // phases, directly under the launch root.
+        // The three in-guest stages are wall spans named after their
+        // sim phases, directly under the launch root.
         if (kind == core::StrategyKind::kSeveriFastBz) {
             std::set<std::string> children;
             for (const TraceEvent &e : events) {
@@ -448,6 +448,7 @@ TEST_F(ObsTest, EveryStrategyProducesAFaithfulSpanTree)
             }
             EXPECT_TRUE(children.contains(sim::phase::kBootVerification));
             EXPECT_TRUE(children.contains(sim::phase::kBootstrapLoader));
+            EXPECT_TRUE(children.contains(sim::phase::kAttestation));
         }
 
         // Sim steps replay the launch's phase order exactly, and cover

@@ -143,8 +143,8 @@ TEST_F(CostModelTest, BootVerificationThroughput)
 TEST_F(CostModelTest, SnpLinuxBootMultiplier)
 {
     Duration base = Duration::millis(52);
-    Duration snp = model_.linuxBoot(base, /*snp=*/true);
-    Duration plain = model_.linuxBoot(base, /*snp=*/false);
+    Duration snp = model_.linuxBoot(base, memory::SevMode::kSevSnp);
+    Duration plain = model_.linuxBoot(base, memory::SevMode::kNone);
     EXPECT_EQ(plain, base);
     EXPECT_NEAR(snp.toMsF(),
                 52.0 * model_.params().snp_linux_boot_multiplier +

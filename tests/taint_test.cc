@@ -14,9 +14,7 @@
 #include "memory/guest_memory.h"
 #include "psp/key_server.h"
 #include "psp/psp.h"
-#include "sim/trace.h"
 #include "taint/taint.h"
-#include "vmm/debug_port.h"
 #include "vmm/fw_cfg.h"
 
 namespace sevf {
@@ -160,48 +158,6 @@ TEST_F(TaintTest, FwCfgSinkCatchesLeak)
     EXPECT_EQ(taint::violations().front().sink, taint::Sink::kFwCfg);
     EXPECT_NE(taint::violations().front().message.find("kernel/leak"),
               std::string::npos);
-}
-
-TEST_F(TaintTest, DebugPortRedactsSecretPayload)
-{
-    vmm::DebugPort port;
-    ByteVec payload(8, 0x5a);
-
-    port.recordData(sim::TimePoint{}, "public marker", payload);
-    ASSERT_EQ(port.events().size(), 1u);
-    EXPECT_NE(port.events()[0].label.find("5a5a"), std::string::npos);
-    EXPECT_EQ(taint::violationCount(), 0u);
-
-    taint::ScopedTaint guard(payload.data(), payload.size(),
-                             taint::kTransportKey);
-    port.recordData(sim::TimePoint{}, "leaky marker", payload);
-    ASSERT_EQ(port.events().size(), 2u);
-    // The event survives but the bytes do not.
-    EXPECT_NE(port.events()[1].label.find("<redacted"), std::string::npos);
-    EXPECT_EQ(port.events()[1].label.find("5a5a"), std::string::npos);
-    ASSERT_EQ(taint::violationCount(), 1u);
-    EXPECT_EQ(taint::violations().front().sink, taint::Sink::kDebugPort);
-}
-
-TEST_F(TaintTest, TraceAnnotationRedactsSecretPayload)
-{
-    sim::BootTrace trace;
-    ByteVec payload(4, 0x77);
-    trace.addAnnotated(sim::StepKind::kCpu, sim::Duration::zero(),
-                       sim::phase::kVmm, "clean step", payload);
-    ASSERT_EQ(trace.steps().size(), 1u);
-    EXPECT_EQ(trace.steps()[0].annotation, "77777777");
-
-    taint::ScopedTaint guard(payload.data(), payload.size(),
-                             taint::kGuestData);
-    trace.addAnnotated(sim::StepKind::kCpu, sim::Duration::zero(),
-                       sim::phase::kVmm, "leaky step", payload);
-    ASSERT_EQ(trace.steps().size(), 2u);
-    EXPECT_NE(trace.steps()[1].annotation.find("<redacted"),
-              std::string::npos);
-    ASSERT_EQ(taint::violationCount(), 1u);
-    EXPECT_EQ(taint::violations().front().sink,
-              taint::Sink::kTraceAnnotation);
 }
 
 TEST_F(TaintTest, ReportFieldSinkCatchesLeak)

@@ -10,7 +10,6 @@
 #include "image/elf.h"
 #include "verifier/verifier_binary.h"
 #include "vmm/boot_params.h"
-#include "vmm/debug_port.h"
 #include "vmm/fw_cfg.h"
 #include "vmm/layout.h"
 #include "vmm/microvm.h"
@@ -255,17 +254,6 @@ TEST_F(MicroVmTest, StagingRejectsOversizeComponents)
     // An "initrd" too large for the staging window tail.
     ByteVec huge(64 * kMiB, 1);
     EXPECT_FALSE(vm.stageMeasuredComponents(art_.bzimage, huge).isOk());
-}
-
-TEST(DebugPortTest, RecordsAndRenders)
-{
-    DebugPort port;
-    port.record(sim::Duration::millis(1), "vmm_start");
-    port.record(sim::Duration::millis(5), "enter_guest");
-    ASSERT_EQ(port.events().size(), 2u);
-    std::string text = port.render();
-    EXPECT_NE(text.find("vmm_start"), std::string::npos);
-    EXPECT_NE(text.find("5.000ms"), std::string::npos);
 }
 
 } // namespace

@@ -119,7 +119,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    std::printf("%s\n", result->timeline.render().c_str());
+    std::printf("%s\n", core::renderTimeline(result->trace).c_str());
     stats::Table phases({"phase", "time"});
     for (const std::string &phase : result->trace.phases()) {
         phases.addRow(

@@ -13,13 +13,13 @@
  */
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "attest/expected_measurement.h"
 #include "base/bytes.h"
 #include "core/launch.h"
 #include "stats/table.h"
+#include "tools/sevf_cli_num.h"
 #include "verifier/verifier_binary.h"
 #include "vmm/layout.h"
 #include "vmm/microvm.h"
@@ -40,6 +40,18 @@ usage(const char *argv0)
                  "          [--initrd-codec none|lz4] [--verify]\n",
                  argv0);
     std::exit(2);
+}
+
+/** The parsed flag value, or its error and the usage text (exit 2). */
+template <typename T>
+T
+valueOrUsage(const char *argv0, Result<T> parsed)
+{
+    if (!parsed.isOk()) {
+        std::fprintf(stderr, "%s\n", parsed.status().message().c_str());
+        usage(argv0);
+    }
+    return parsed.take();
 }
 
 } // namespace
@@ -70,7 +82,8 @@ main(int argc, char **argv)
                 usage(argv[0]);
             }
         } else if (arg == "--vcpus") {
-            request.vm.vcpus = static_cast<u32>(std::atoi(next()));
+            request.vm.vcpus =
+                valueOrUsage(argv[0], tools::parseU32(arg, next()));
         } else if (arg == "--mode") {
             std::string m = next();
             if (m == "sev") {
@@ -83,10 +96,11 @@ main(int argc, char **argv)
                 usage(argv[0]);
             }
         } else if (arg == "--scale") {
-            request.scale = std::atof(next());
+            request.scale =
+                valueOrUsage(argv[0], tools::parseFraction(arg, next(), 1.0));
         } else if (arg == "--verifier-size") {
             request.verifier_size =
-                static_cast<u64>(std::atoll(next()));
+                valueOrUsage(argv[0], tools::parseU64(arg, next()));
         } else if (arg == "--initrd-codec") {
             std::string c = next();
             if (c == "none") {
@@ -101,6 +115,13 @@ main(int argc, char **argv)
         } else {
             usage(argv[0]);
         }
+    }
+    // The same check a launch runs: the scale the artifacts are built
+    // at and a vCPU count the MP table can number.
+    Status valid = core::checkLaunchRequest(request);
+    if (!valid.isOk()) {
+        std::fprintf(stderr, "%s\n", valid.message().c_str());
+        usage(argv[0]);
     }
 
     // Rebuild exactly what the VMM stages (all offline, no PSP).
